@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos examples bench-smoke obs-smoke recovery-smoke consensus-smoke byz-smoke epoch-smoke tier1 cover allocs bench-groupcommit bench-pipeline bench-recovery bench-consensus bench-epoch mcheck-paxos mcheck-byz clean
+.PHONY: all build test vet race chaos examples bench-smoke bench-check obs-smoke recovery-smoke consensus-smoke byz-smoke tier1 cover allocs bench-pipeline bench-recovery bench-consensus mcheck-paxos mcheck-byz clean
 
 all: tier1
 
@@ -13,11 +13,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race pass over the packages with real concurrency: the group-commit
-# flusher, the sharded protocol tables, the parallel fan-out and the TCP
-# transport. -short keeps the stress test tractable in CI.
+# Race pass over the packages with real concurrency: the log's shared force
+# barrier and everything that forces through it from several goroutines
+# (engines, site, acceptors, chaos shims, simulator), the sharded protocol
+# tables, the parallel fan-out and the TCP transport. -short keeps the
+# stress test tractable in CI.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/transport/... ./internal/wal/...
+	$(GO) test -race -short ./internal/core/... ./internal/transport/... ./internal/wal/... \
+		./internal/site/... ./internal/consensus/... ./internal/chaos/... ./internal/sim/...
 
 # Seeded chaos sweep: random fault plans over a mixed cluster under PrAny
 # must converge to operational correctness, and the theorem-signal plan
@@ -35,12 +38,17 @@ examples:
 		$(GO) run ./$$d >/dev/null; \
 	done
 
-# Short E16 smoke run: a 50-transaction TCP burst with batching on must
-# show > 1 messages per physical frame, so a regression that silently
-# disables the transport batch writer fails the gate without paying for
-# the full benchmark sweep.
+# Short E16 smoke run: a 50-transaction TCP burst must show > 1 messages
+# per physical frame, so a regression that silently disables the transport
+# batch writer fails the gate without paying for the full benchmark sweep.
 bench-smoke:
 	./scripts/bench_smoke.sh
+
+# The benchmark under bench/ is a Go module of its own, so the root
+# build/vet/test never compile it: check it here, or deleting exported API
+# breaks the benchmark silently.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Observability smoke: start prany-server with -http and assert that
 # /metrics, /txns, /trace and /debug/pprof/ all serve well-formed output.
@@ -67,22 +75,15 @@ consensus-smoke:
 byz-smoke:
 	$(GO) run ./scripts/byzsmoke
 
-# Epoch smoke: a real-TCP cluster with the epoch sealer on (2ms linger) has
-# its coordinator killed while commits are in flight; after recovery, every
-# member of every batched epoch record must land on the WAL-fixed outcome at
-# every participant — the E21 crash contract as a merge gate.
-epoch-smoke:
-	$(GO) run ./scripts/epochsmoke
-
 # tier1 is the merge gate: everything must build, every test must pass,
 # vet must be clean, the concurrent packages must be race-free, the short
 # chaos sweep must stay operationally correct, every example must run,
 # the transport batch writer must demonstrably coalesce frames, the
+# benchmark's own module must build and pass against this API, the
 # introspection endpoints must serve, checkpointed recovery must stay
-# O(active), the replicated decider must survive coordinator death,
-# PrAny's honest sites must survive a lying participant, and epoch-sealed
-# decisions must survive a mid-epoch coordinator kill.
-tier1: build test vet race chaos examples bench-smoke obs-smoke recovery-smoke consensus-smoke byz-smoke epoch-smoke
+# O(active), the replicated decider must survive coordinator death, and
+# PrAny's honest sites must survive a lying participant.
+tier1: build test vet race chaos examples bench-smoke bench-check obs-smoke recovery-smoke consensus-smoke byz-smoke
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage.floors and the per-benchmark allocation ceilings in
@@ -94,10 +95,6 @@ cover:
 # allocs runs just the allocation-ceiling gate (the zero-alloc wire path).
 allocs:
 	./scripts/allocs.sh
-
-# Reproduce the E13 group-commit numbers recorded in BENCH_groupcommit.json.
-bench-groupcommit:
-	$(GO) test -bench 'BenchmarkE13_GroupCommit' -benchtime 300x -run '^$$' .
 
 # Reproduce the E16 pipelined-commit-stream numbers recorded in
 # BENCH_pipeline.json.
@@ -112,11 +109,6 @@ bench-recovery:
 # BENCH_consensus.json.
 bench-consensus:
 	$(GO) run ./cmd/prany-bench -run consensus -json
-
-# Reproduce the E21 epoch-batched commit numbers recorded in
-# BENCH_epoch.json.
-bench-epoch:
-	$(GO) run ./cmd/prany-bench -run epoch -json
 
 # Exhaustively check the E19 claim: the replicated decider sweeps clean and
 # non-blocking under permanent coordinator death; the single decider blocks.

@@ -235,49 +235,26 @@ func BenchmarkE12_CL_Mixed(b *testing.B) {
 	benchProtocol(b, []wire.Protocol{wire.CL, wire.PrA, wire.PrC}, true)
 }
 
-// E13 — group commit: the same concurrent commit workload with the log's
-// group-commit flusher off and on, over stores with simulated per-flush
-// device latency. The logical force count (the protocol cost) is identical;
-// the physical flush count per transaction collapses when concurrent forces
-// coalesce.
-func BenchmarkE13_GroupCommit(b *testing.B) {
-	for _, gc := range []bool{false, true} {
-		b.Run(fmt.Sprintf("group=%v", gc), func(b *testing.B) {
-			pt, err := experiments.MeasureGroupCommit(gc, 16, b.N, time.Millisecond, 42)
+// E16 — pipelined commit streams: a concurrent commit workload over real
+// TCP. The logical message count is the protocol cost; the physical
+// wire-write count per transaction sits well below it because each link's
+// writer coalesces whatever queued while its previous write syscall was in
+// flight.
+func BenchmarkE16_Pipeline(b *testing.B) {
+	for _, clients := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			pt, err := experiments.MeasurePipeline(clients, b.N, 16)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(pt.TxnsPerSec, "txns/s")
-			b.ReportMetric(pt.ForcesPerTxn, "forces/txn")
-			b.ReportMetric(pt.SyncsPerTxn, "syncs/txn")
-			b.ReportMetric(pt.CoordSyncsPerTxn, "coordsyncs/txn")
-			b.ReportMetric(pt.MeanBatch, "recs/sync")
+			b.ReportMetric(pt.MsgsPerTxn, "msgs/txn")
+			b.ReportMetric(pt.FramesPerTxn, "frames/txn")
+			b.ReportMetric(pt.MeanFrameBatch, "msgs/frame")
+			b.ReportMetric(pt.AllocsPerTxn, "allocs/txn")
+			b.ReportMetric(float64(pt.LatencyP50)/1e6, "p50-ms")
+			b.ReportMetric(float64(pt.LatencyP99)/1e6, "p99-ms")
 		})
-	}
-}
-
-// E16 — pipelined commit streams: the same concurrent commit workload over
-// real TCP with transport frame batching off and on. The logical message
-// count (the protocol cost) is identical; the physical wire-write count per
-// transaction collapses when each link's writer coalesces whatever queued
-// while its previous write syscall was in flight.
-func BenchmarkE16_Pipeline(b *testing.B) {
-	for _, clients := range []int{16, 64, 256} {
-		for _, batching := range []bool{false, true} {
-			b.Run(fmt.Sprintf("clients=%d/batch=%v", clients, batching), func(b *testing.B) {
-				pt, err := experiments.MeasurePipeline(batching, clients, b.N, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pt.TxnsPerSec, "txns/s")
-				b.ReportMetric(pt.MsgsPerTxn, "msgs/txn")
-				b.ReportMetric(pt.FramesPerTxn, "frames/txn")
-				b.ReportMetric(pt.MeanFrameBatch, "msgs/frame")
-				b.ReportMetric(pt.AllocsPerTxn, "allocs/txn")
-				b.ReportMetric(float64(pt.LatencyP50)/1e6, "p50-ms")
-				b.ReportMetric(float64(pt.LatencyP99)/1e6, "p99-ms")
-			})
-		}
 	}
 }
 

@@ -9,8 +9,8 @@
 //
 //	prany-bench               # everything
 //	prany-bench -run costs    # one section: costs, theorem1, theorem2,
-//	                          # sweep, perf, readonly, iyv, cl, groupcommit,
-//	                          # chaos, pipeline, recovery, consensus, epoch
+//	                          # sweep, perf, readonly, iyv, cl, chaos,
+//	                          # pipeline, obs, recovery, consensus
 //	prany-bench -run pipeline -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -41,7 +41,7 @@ type bench struct {
 	w io.Writer
 	// seed overrides every section's random seed when nonzero, so any run
 	// reproduces from its printed seed. Zero keeps each section's
-	// historical default (sweep 7, perf 99, groupcommit 42, chaos 1),
+	// historical default (sweep 7, perf 99, chaos 1),
 	// preserving the committed EXPERIMENTS.md numbers.
 	seed int64
 	// jsonOut switches the sections that declare JSON support in their
@@ -59,26 +59,24 @@ type section struct {
 	json bool
 }
 
-var sectionOrder = []string{"costs", "theorem1", "theorem2", "sweep", "perf", "readonly", "iyv", "cl", "groupcommit", "chaos", "pipeline", "obs", "recovery", "consensus", "epoch"}
+var sectionOrder = []string{"costs", "theorem1", "theorem2", "sweep", "perf", "readonly", "iyv", "cl", "chaos", "pipeline", "obs", "recovery", "consensus"}
 
 func run(args []string, stdout io.Writer) int {
 	b := &bench{w: stdout}
 	sections := map[string]section{
-		"costs":       {fn: b.costs},
-		"theorem1":    {fn: b.theorem1},
-		"theorem2":    {fn: b.theorem2},
-		"sweep":       {fn: b.sweep},
-		"perf":        {fn: b.perf},
-		"readonly":    {fn: b.readonly},
-		"iyv":         {fn: b.iyv},
-		"cl":          {fn: b.cl},
-		"groupcommit": {fn: b.groupcommit},
-		"chaos":       {fn: b.chaosMatrix},
-		"pipeline":    {fn: b.pipeline},
-		"obs":         {fn: b.obs, json: true},
-		"recovery":    {fn: b.recovery, json: true},
-		"consensus":   {fn: b.consensus, json: true},
-		"epoch":       {fn: b.epoch, json: true},
+		"costs":     {fn: b.costs},
+		"theorem1":  {fn: b.theorem1},
+		"theorem2":  {fn: b.theorem2},
+		"sweep":     {fn: b.sweep},
+		"perf":      {fn: b.perf},
+		"readonly":  {fn: b.readonly},
+		"iyv":       {fn: b.iyv},
+		"cl":        {fn: b.cl},
+		"chaos":     {fn: b.chaosMatrix},
+		"pipeline":  {fn: b.pipeline},
+		"obs":       {fn: b.obs, json: true},
+		"recovery":  {fn: b.recovery, json: true},
+		"consensus": {fn: b.consensus, json: true},
 	}
 	var jsonNames []string
 	for _, name := range sectionOrder {
@@ -364,31 +362,6 @@ func (b *bench) cl() error {
 	return nil
 }
 
-// groupcommit prints E13: the group-commit comparison — the same concurrent
-// commit workload with the log's flusher off and on, over stores with 1ms of
-// simulated per-flush device latency. The logical force count is identical
-// in both rows; the physical flush count collapses as concurrent forces at
-// the coordinator coalesce.
-func (b *bench) groupcommit() error {
-	b.header("E13: group commit — physical flushes collapse under concurrency")
-	seed := b.sectionSeed(42)
-	fmt.Fprintf(b.w, "%7s %6s | %9s %12s %10s %10s %14s %9s\n",
-		"clients", "group", "txns/s", "meanLatency", "forces/txn", "syncs/txn", "coordsyncs/txn", "recs/sync")
-	for _, clients := range []int{1, 4, 16} {
-		for _, gc := range []bool{false, true} {
-			pt, err := experiments.MeasureGroupCommit(gc, clients, 200, time.Millisecond, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(b.w, "%7d %6v | %9.0f %12s %10.2f %10.2f %14.2f %9.2f\n",
-				clients, gc, pt.TxnsPerSec, pt.MeanLatency.Round(1000),
-				pt.ForcesPerTxn, pt.SyncsPerTxn, pt.CoordSyncsPerTxn, pt.MeanBatch)
-		}
-		fmt.Fprintln(b.w)
-	}
-	return nil
-}
-
 // chaosMatrix prints a compact E14: seeded chaos episodes under U2PC, C2PC
 // and PrAny with identical fault plans per seed. The full-size matrix lives
 // in BENCH_chaos.json via `prany-chaos -e14 -json`.
@@ -415,32 +388,28 @@ func (b *bench) chaosMatrix() error {
 	return nil
 }
 
-// pipeline prints E16: the pipelined-commit-stream comparison — the same
-// concurrent commit workload over real TCP with transport frame batching
-// off and on. msgs/txn is the logical protocol cost (identical in both
-// modes, matching the paper's tables); frames/txn and msgs/frame show the
-// physical wire writes collapsing as each link's writer drains whatever
-// accumulated while its previous write syscall was in flight — the network
-// twin of E13's Forces/Syncs split.
+// pipeline prints E16: pipelined commit streams — a concurrent commit
+// workload over real TCP. msgs/txn is the logical protocol cost (matching
+// the paper's tables); frames/txn and msgs/frame show the physical wire
+// writes behind it, fewer as concurrency grows because each link's writer
+// drains whatever accumulated while its previous write syscall was in
+// flight — the network twin of the log's Forces/Syncs split.
 func (b *bench) pipeline() error {
 	b.header("E16: pipelined commit streams — wire frames collapse under concurrency")
 	seed := b.sectionSeed(16)
-	fmt.Fprintf(b.w, "%7s %6s | %9s %12s %10s %12s %11s %10s | %9s %9s %9s\n",
-		"clients", "batch", "txns/s", "meanLatency", "msgs/txn", "frames/txn", "msgs/frame", "bytes/txn",
+	fmt.Fprintf(b.w, "%7s | %9s %12s %10s %12s %11s %10s | %9s %9s %9s\n",
+		"clients", "txns/s", "meanLatency", "msgs/txn", "frames/txn", "msgs/frame", "bytes/txn",
 		"p50", "p95", "p99")
 	for _, clients := range []int{16, 64, 256} {
-		for _, batching := range []bool{false, true} {
-			pt, err := experiments.MeasurePipeline(batching, clients, 2000, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(b.w, "%7d %6v | %9.0f %12s %10.2f %12.2f %11.2f %10.0f | %9s %9s %9s\n",
-				clients, batching, pt.TxnsPerSec, pt.MeanLatency.Round(1000),
-				pt.MsgsPerTxn, pt.FramesPerTxn, pt.MeanFrameBatch, pt.BytesPerTxn,
-				pt.LatencyP50.Round(time.Microsecond), pt.LatencyP95.Round(time.Microsecond),
-				pt.LatencyP99.Round(time.Microsecond))
+		pt, err := experiments.MeasurePipeline(clients, 2000, seed)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(b.w)
+		fmt.Fprintf(b.w, "%7d | %9.0f %12s %10.2f %12.2f %11.2f %10.0f | %9s %9s %9s\n",
+			clients, pt.TxnsPerSec, pt.MeanLatency.Round(1000),
+			pt.MsgsPerTxn, pt.FramesPerTxn, pt.MeanFrameBatch, pt.BytesPerTxn,
+			pt.LatencyP50.Round(time.Microsecond), pt.LatencyP95.Round(time.Microsecond),
+			pt.LatencyP99.Round(time.Microsecond))
 	}
 	return nil
 }
@@ -628,87 +597,6 @@ func (b *bench) consensus() error {
 			r.Acceptors, r.Clients, r.TxnsPerSec,
 			time.Duration(r.MeanLatUS*1000).Round(time.Microsecond),
 			r.MsgsPerTxn, r.ForcesPerTxn,
-			time.Duration(r.P50US*1000).Round(time.Microsecond),
-			time.Duration(r.P95US*1000).Round(time.Microsecond),
-			time.Duration(r.P99US*1000).Round(time.Microsecond))
-	}
-	return nil
-}
-
-// epoch prints E21: the epoch-batched commit scheduling comparison — the
-// E16 batching-on TCP workload with the coordinator's epoch sealer off and
-// on. decisions/txn is the logical decision count (identical in both modes,
-// like E16's msgs/txn); recs/txn counts the physical WAL records carrying
-// them, which collapse to one forced KRecEpochDecision per epoch; meanEpoch
-// is their ratio, the amortization factor.
-func (b *bench) epoch() error {
-	const (
-		txns   = 5000
-		window = time.Millisecond
-	)
-	if !b.jsonOut {
-		b.header("E21: epoch-batched commit scheduling — decision records collapse under concurrency")
-	}
-	seed := int64(23)
-	if b.seed != 0 {
-		seed = b.seed
-	}
-	type row struct {
-		Epoch      bool    `json:"epoch"`
-		WindowMS   float64 `json:"window_ms"`
-		Clients    int     `json:"clients"`
-		Txns       int     `json:"txns"`
-		TxnsPerSec float64 `json:"txns_per_sec"`
-		MeanLatUS  float64 `json:"mean_latency_us"`
-		MsgsPerTxn float64 `json:"msgs_per_txn"`
-		DecPerTxn  float64 `json:"decisions_per_txn"`
-		RecsPerTxn float64 `json:"decision_records_per_txn"`
-		MeanEpoch  float64 `json:"mean_epoch"`
-		P50US      float64 `json:"latency_p50_us"`
-		P95US      float64 `json:"latency_p95_us"`
-		P99US      float64 `json:"latency_p99_us"`
-	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
-	var rows []row
-	for _, clients := range []int{64, 256} {
-		for _, on := range []bool{false, true} {
-			w := time.Duration(0)
-			if on {
-				w = window
-			}
-			pt, err := experiments.MeasureEpoch(on, w, clients, txns, seed)
-			if err != nil {
-				return fmt.Errorf("epoch on=%v clients=%d: %w", on, clients, err)
-			}
-			rows = append(rows, row{
-				Epoch: pt.Epoch, WindowMS: float64(pt.Window.Microseconds()) / 1000,
-				Clients: pt.Clients, Txns: pt.Txns,
-				TxnsPerSec: pt.TxnsPerSec, MeanLatUS: us(pt.MeanLatency),
-				MsgsPerTxn: pt.MsgsPerTxn, DecPerTxn: pt.DecisionsPerTxn,
-				RecsPerTxn: pt.DecisionRecsPerTxn, MeanEpoch: pt.MeanEpoch,
-				P50US: us(pt.LatencyP50), P95US: us(pt.LatencyP95), P99US: us(pt.LatencyP99),
-			})
-		}
-	}
-	if b.jsonOut {
-		out := struct {
-			Experiment string `json:"experiment"`
-			Seed       int64  `json:"seed"`
-			Rows       []row  `json:"rows"`
-		}{"E21 epoch-batched commit scheduling", seed, rows}
-		enc := json.NewEncoder(b.w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}
-	fmt.Fprintf(b.w, "seed: %d\n", seed)
-	fmt.Fprintf(b.w, "%7s %6s | %9s %12s %10s | %13s %10s %9s | %9s %9s %9s\n",
-		"clients", "epoch", "txns/s", "meanLatency", "msgs/txn", "decisions/txn", "recs/txn", "meanEpoch",
-		"p50", "p95", "p99")
-	for _, r := range rows {
-		fmt.Fprintf(b.w, "%7d %6v | %9.0f %12s %10.2f | %13.2f %10.3f %9.1f | %9s %9s %9s\n",
-			r.Clients, r.Epoch, r.TxnsPerSec,
-			time.Duration(r.MeanLatUS*1000).Round(time.Microsecond),
-			r.MsgsPerTxn, r.DecPerTxn, r.RecsPerTxn, r.MeanEpoch,
 			time.Duration(r.P50US*1000).Round(time.Microsecond),
 			time.Duration(r.P95US*1000).Round(time.Microsecond),
 			time.Duration(r.P99US*1000).Round(time.Microsecond))

@@ -113,63 +113,3 @@ func TestRunUnknownSection(t *testing.T) {
 		t.Fatalf("missing error:\n%s", out.String())
 	}
 }
-
-// TestEpochJSONShape pins the BENCH_epoch.json format: the E21 section with
-// -json must emit the {experiment, seed, rows} document with one row per
-// (clients, epoch) cell and live numbers in every row. The throughputs are
-// timing-dependent; the shape and the logical/physical invariants are not:
-// logical decisions are one per txn in both modes, while the epoch-on rows
-// must batch them into strictly fewer physical records.
-func TestEpochJSONShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 4 TCP cluster workloads; skipped with -short")
-	}
-	var out strings.Builder
-	if code := run([]string{"-run", "epoch", "-json"}, &out); code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	type row struct {
-		Epoch      bool    `json:"epoch"`
-		Clients    int     `json:"clients"`
-		Txns       int     `json:"txns"`
-		TxnsPerSec float64 `json:"txns_per_sec"`
-		MsgsPerTxn float64 `json:"msgs_per_txn"`
-		DecPerTxn  float64 `json:"decisions_per_txn"`
-		RecsPerTxn float64 `json:"decision_records_per_txn"`
-		MeanEpoch  float64 `json:"mean_epoch"`
-		P50US      float64 `json:"latency_p50_us"`
-	}
-	var doc struct {
-		Experiment string `json:"experiment"`
-		Seed       int64  `json:"seed"`
-		Rows       []row  `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
-		t.Fatalf("not the BENCH_epoch.json shape: %v\n%s", err, out.String())
-	}
-	if doc.Experiment != "E21 epoch-batched commit scheduling" || doc.Seed == 0 {
-		t.Fatalf("bad header: %q seed=%d", doc.Experiment, doc.Seed)
-	}
-	if len(doc.Rows) != 4 {
-		t.Fatalf("want 4 rows (2 client levels x epoch off/on), got %d", len(doc.Rows))
-	}
-	for i := 0; i < len(doc.Rows); i += 2 {
-		off, on := doc.Rows[i], doc.Rows[i+1]
-		if off.Epoch || !on.Epoch || off.Clients != on.Clients {
-			t.Fatalf("row pairing broken: %+v / %+v", off, on)
-		}
-		for _, r := range []row{off, on} {
-			if r.Txns <= 0 || r.TxnsPerSec <= 0 || r.P50US <= 0 {
-				t.Fatalf("degenerate row: %+v", r)
-			}
-			// One logical decision per txn in both modes: the protocol is
-			// unchanged, only its durable representation is batched.
-			if r.DecPerTxn < 0.99 || r.DecPerTxn > 1.01 {
-				t.Fatalf("logical decisions drifted: %+v", r)
-			}
-		}
-		if on.RecsPerTxn >= off.RecsPerTxn || on.MeanEpoch <= 1.0 {
-			t.Fatalf("epoch-on row did not batch decision records: off %+v on %+v", off, on)
-		}
-	}
-}

@@ -43,8 +43,6 @@ func main() {
 	voteTimeout := flag.Duration("vote-timeout", 2*time.Second, "voting phase timeout")
 	drain := flag.Duration("drain", 3*time.Second, "how long to drain acknowledgments before exiting")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint the WAL after this many forced records (0 disables; keeps recovery scans O(active))")
-	epoch := flag.Bool("epoch", false, "seal concurrent commit decisions into epochs: one forced WAL record and one fan-out batch per epoch")
-	epochWindow := flag.Duration("epoch-window", 0, "with -epoch: linger this long collecting an epoch before sealing (0 = pure piggybacking)")
 	httpAddr := flag.String("http", "", "introspection listen address (e.g. :7171): /metrics, /txns, /trace, /debug/pprof/")
 	traceCap := flag.Int("trace-buf", 1<<14, "trace ring-buffer capacity in events (with -http)")
 	var sites siteFlags
@@ -107,8 +105,6 @@ func main() {
 		},
 		LogStore:        store,
 		CheckpointEvery: *ckptEvery,
-		EpochCommit:     *epoch,
-		EpochWindow:     *epochWindow,
 		Acceptors:       acceptorIDs,
 		Met:             met,
 		Obs:             rec,

@@ -108,7 +108,7 @@ func ParseCrashPoint(s string) (CrashPoint, error) {
 }
 
 func parseRecordKind(s string) (wal.Kind, error) {
-	for k := wal.KInitiation; k <= wal.KRecEpochDecision; k++ {
+	for k := wal.KInitiation; k <= wal.KPaxosAccept; k++ {
 		if k.String() == s {
 			return k, nil
 		}

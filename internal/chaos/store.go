@@ -24,8 +24,8 @@ func (s *Store) Load() ([]wal.Record, error) { return s.inner.Load() }
 // the append reports success with nothing written, which also hides the
 // force from force-edge crash points at that site (there was no force).
 // Note the crash edges return before the bound crasher's work is done — the
-// crasher runs on an engine goroutine because Append is called under the Log
-// mutex that Site.Crash also needs.
+// crasher runs on an engine goroutine because Site.Crash waits out the log's
+// write in flight, which is this very call.
 func (s *Store) Append(recs []wal.Record) error {
 	if s.eng.adversarySuppress(s.site, recs) {
 		return nil

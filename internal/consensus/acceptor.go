@@ -13,7 +13,7 @@ import (
 )
 
 // Acceptor is one member of the replicated decision's 2F+1-site quorum. It
-// persists promises and accepts through its own group-commit WAL — the
+// persists promises and accepts through its own WAL — the
 // acceptor set collectively *is* the decision log — recovers by replaying
 // those records and catching up from a peer's checkpoint image, and doubles
 // as a takeover leader: a participant blocked in doubt while the

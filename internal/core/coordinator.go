@@ -72,20 +72,6 @@ type CoordinatorConfig struct {
 	// decision durable on an acceptor quorum instead of the local log.
 	// Nil means SingleDecider: the paper's force-then-send path.
 	NewDecider func(env Env) Decider
-	// EpochCommit enables epoch-batched decision sealing: concurrent
-	// record-bearing decisions are made durable with one batched
-	// KRecEpochDecision record and fanned out in one cross-transaction
-	// batch per destination. Off by default (every committed BENCH number
-	// reproduces with it off); ignored under a replicated decider (the
-	// quorum round is the decision's durability there) and bypassed under
-	// a serial scheduler (the model checker sees the unbatched path).
-	EpochCommit bool
-	// EpochWindow is the opt-in epoch linger: a positive window makes the
-	// sealer wait that long before sealing so more decisions join the
-	// epoch. Zero (the default) is pure piggybacking — seal immediately
-	// when idle, batch whatever accumulated while the previous epoch's
-	// force was in flight.
-	EpochWindow time.Duration
 }
 
 type cstate uint8
@@ -167,11 +153,8 @@ type Coordinator struct {
 
 	txns *shardedTable[*ctxn] // the protocol table
 
-	// epoch, when non-nil, batches record-bearing decisions into sealed
-	// epochs (EpochCommit on, single decider). wheel services the commit
-	// path's vote-wait deadlines with one goroutine instead of one runtime
-	// timer per transaction.
-	epoch *epochSealer
+	// wheel services the commit path's vote-wait deadlines with one
+	// goroutine instead of one runtime timer per transaction.
 	wheel *deadlineWheel
 
 	// ticks counts Tick calls; the decision re-send backoff is measured in
@@ -204,23 +187,13 @@ func NewCoordinator(env Env, cfg CoordinatorConfig, pcp *PCP) *Coordinator {
 		c.decider = NewSingleDecider(env)
 	}
 	c.wheel = newDeadlineWheel()
-	if cfg.EpochCommit && !c.decider.Replicated() {
-		c.epoch = newEpochSealer(c, cfg.EpochWindow)
-	}
 	return c
 }
 
-// Stop terminates the coordinator's background machinery — the epoch
-// sealer (pending decisions fail with ErrSiteDown) and the deadline wheel
-// (pending vote waits wake as if their timeout fired; the follow-up work
-// fails on the dead site). The site layer calls it on crash; recovery
-// builds a fresh coordinator.
-func (c *Coordinator) Stop() {
-	if c.epoch != nil {
-		c.epoch.stop()
-	}
-	c.wheel.stop()
-}
+// Stop terminates the coordinator's deadline wheel: pending vote waits wake
+// as if their timeout fired, and the follow-up work fails on the dead site.
+// The site layer calls it on crash; recovery builds a fresh coordinator.
+func (c *Coordinator) Stop() { c.wheel.stop() }
 
 // Decider returns the coordinator's decision fix-point (for tests and
 // introspection).
@@ -265,9 +238,8 @@ func (c *Coordinator) Commit(txn wire.TxnID, parts []wire.SiteID) (wire.Outcome,
 	return outcome, err
 }
 
-// awaitDecision blocks until an in-flight decision fixes (a replicated
-// decider's quorum round, or another caller's epoch seal), or the vote
-// timeout elapses again without one.
+// awaitDecision blocks until an in-flight replicated decision fixes (the
+// decider's quorum round), or the vote timeout elapses again without one.
 func (c *Coordinator) awaitDecision(ct *ctxn) (wire.Outcome, error) {
 	e := c.wheel.add(time.Now().Add(c.cfg.VoteTimeout))
 	select {
@@ -340,10 +312,9 @@ func (c *Coordinator) begin(txn wire.TxnID, parts []wire.SiteID) (*ctxn, int, er
 		votesDone: make(chan struct{}),
 		startedAt: c.env.now(),
 	}
-	if c.decider.Replicated() || c.epoch != nil {
-		// Replicated decisions fix asynchronously; epoch-sealed ones fix on
-		// the sealer goroutine — either way a duplicate Resolve racing the
-		// fix-point waits on this channel instead of re-deciding.
+	if c.decider.Replicated() {
+		// Replicated decisions fix asynchronously: a duplicate Resolve racing
+		// the fix-point waits on this channel instead of re-deciding.
 		ct.decideDone = make(chan struct{})
 	}
 	protos := make([]wire.Protocol, 0, len(parts))
@@ -429,32 +400,14 @@ func (c *Coordinator) resolve(ct *ctxn) (wire.Outcome, error) {
 	if ct.allYes() {
 		outcome = wire.Commit
 	}
-	epoch := c.sealsInEpoch(ct, outcome)
-	if c.decider.Replicated() || epoch {
+	if c.decider.Replicated() {
 		// Claim the decision now, under the lock: a replicated decide
-		// completes asynchronously, an epoch seal on the sealer goroutine —
-		// a duplicate Resolve racing in must wait for the fix-point, not
-		// start a second decision.
+		// completes asynchronously, and a duplicate Resolve racing in must
+		// wait for the fix-point, not start a second decision.
 		ct.state = cDeciding
 	}
 	sh.mu.Unlock()
-
-	if epoch {
-		return c.epoch.submit(ct, outcome)
-	}
 	return c.decide(ct, outcome)
-}
-
-// sealsInEpoch reports whether ct's decision goes through the epoch sealer:
-// epoch batching on, not under a serial scheduler (deterministic drivers
-// must see the unbatched path, bit for bit), and only for decisions that
-// force a record — a presumable abort has no force to amortize and takes
-// the direct path unchanged.
-func (c *Coordinator) sealsInEpoch(ct *ctxn, outcome wire.Outcome) bool {
-	if c.epoch == nil || c.env.serial() {
-		return false
-	}
-	return outcome == wire.Commit || c.logsAbortRecord(ct)
 }
 
 func (ct *ctxn) allYes() bool {
@@ -524,23 +477,10 @@ func (c *Coordinator) instanceVotes(ct *ctxn) []wire.InstanceVote {
 // draining. It runs at most once per transaction (a duplicate call — the
 // replicated decider's callback racing a recovery — is a no-op).
 func (c *Coordinator) finalize(ct *ctxn, outcome wire.Outcome) {
-	msgs, finished := c.finalizeCollect(ct, outcome)
-	c.env.fanout(msgs)
-	if finished {
-		c.decider.Finished(ct.txn, outcome)
-	}
-}
-
-// finalizeCollect performs finalize's table transition and returns the
-// decision messages instead of sending them, so an epoch seal can merge the
-// whole epoch's fan-out into one batch. finished reports that the entry
-// already drained (nothing to ack) and the caller owes decider.Finished
-// after the fan-out.
-func (c *Coordinator) finalizeCollect(ct *ctxn, outcome wire.Outcome) (msgs []wire.Message, finished bool) {
 	sh := c.txns.lock(ct.txn)
 	if ct.decided {
 		sh.mu.Unlock()
-		return nil, false
+		return
 	}
 	sh.mu.Unlock()
 
@@ -550,14 +490,14 @@ func (c *Coordinator) finalizeCollect(ct *ctxn, outcome wire.Outcome) (msgs []wi
 	sh = c.txns.lock(ct.txn)
 	if ct.decided {
 		sh.mu.Unlock()
-		return nil, false
+		return
 	}
 	ct.decided = true
 	ct.outcome = outcome
 	ct.state = cDraining
 	ct.decidedAt = c.env.now()
-	msgs = c.decisionMsgsLocked(ct)
-	finished = c.maybeFinishLocked(sh.m, ct)
+	msgs := c.decisionMsgsLocked(ct)
+	finished := c.maybeFinishLocked(sh.m, ct)
 	sh.mu.Unlock()
 	if ct.decideDone != nil {
 		ct.decideOnce.Do(func() { close(ct.decideDone) })
@@ -569,7 +509,10 @@ func (c *Coordinator) finalizeCollect(ct *ctxn, outcome wire.Outcome) (msgs []wi
 			c.env.trace(obs.Event{Kind: obs.EvDecisionSend, Txn: ct.txn, Peer: m.To, Note: outcome.String()})
 		}
 	}
-	return msgs, finished
+	c.env.fanout(msgs)
+	if finished {
+		c.decider.Finished(ct.txn, outcome)
+	}
 }
 
 // logsAbortRecord reports whether this transaction's variant forces an

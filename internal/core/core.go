@@ -105,7 +105,7 @@ func (e *Env) serial() bool { return e.Sched != nil && e.Sched.Serial() }
 func (e *Env) dead() bool { return e.Dead != nil && e.Dead.Load() }
 
 // force appends rec and forces the log, recording the cost, the force-span
-// latency (its duration includes the group-commit wait), and — when tracing
+// latency (its duration includes the wait for a shared barrier), and — when tracing
 // — the force trace event.
 func (e *Env) force(rec wal.Record) error {
 	if e.dead() {

@@ -62,33 +62,6 @@ func (c *Coordinator) Recover() error {
 		if rec.Role != wal.RoleCoord {
 			continue // participant-role record; not ours
 		}
-		if rec.Kind == wal.KRecEpochDecision {
-			// One physical record, N logical decisions: unfold it into a
-			// synthesized standalone decision record per member, so every
-			// rule below — last decision record wins (a post-epoch
-			// superseding abort dominates), participant set from the
-			// decision record, the PrC commit shortcut — applies to epoch
-			// members exactly as to unbatched decisions.
-			for _, m := range rec.Members {
-				ms := byTxn[m.Txn]
-				if ms == nil {
-					ms = &seen{}
-					byTxn[m.Txn] = ms
-					order = append(order, m.Txn)
-				}
-				kind := wal.KAbort
-				if m.Outcome == wire.Commit {
-					kind = wal.KCommit
-				}
-				r := wal.Record{
-					LSN: rec.LSN, Kind: kind, Role: wal.RoleCoord,
-					Txn: m.Txn, Participants: m.Participants,
-				}
-				ms.decision = &r
-				ms.outcome, ms.decided = m.Outcome, true
-			}
-			continue
-		}
 		s := byTxn[rec.Txn]
 		if s == nil {
 			s = &seen{}

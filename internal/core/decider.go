@@ -136,7 +136,7 @@ func (s *SingleDecider) Decide(req DecideRequest, _ func(wire.Outcome)) (wire.Ou
 		return req.Outcome, true, nil
 	}
 	if s.env.Met != nil {
-		s.env.Met.Decision(s.env.ID, 1, 1)
+		s.env.Met.Decision(s.env.ID)
 	}
 	return req.Outcome, true, nil
 }

@@ -18,9 +18,9 @@ import (
 // engines over a thread-safe router — unlike the synchronous rig, whose
 // handle-to-completion routing serializes everything. Each site gets one
 // mailbox goroutine draining a FIFO queue (per-destination FIFO order, the
-// delivery model the protocols assume), and every site's log runs the
-// group-commit flusher, so the concurrent force paths, the sharded protocol
-// tables and the parallel fan-out are all exercised under -race.
+// delivery model the protocols assume), so the log's shared force barrier,
+// the sharded protocol tables and the parallel fan-out are all exercised
+// under -race.
 
 // stressNet routes messages between stress sites.
 type stressNet struct {
@@ -94,7 +94,7 @@ func (n *stressNet) close() {
 // and aborting transactions across PrN, PrA and PrC participants at once,
 // then drains the cluster and asserts a violation-free history. Run it with
 // -race: its whole purpose is to catch data races on the commit hot path
-// (group-commit flusher, sharded tables, parallel fan-out).
+// (shared force barrier, sharded tables, parallel fan-out).
 func TestStressConcurrentMixedProtocols(t *testing.T) {
 	const (
 		coordID = wire.SiteID("coord")
@@ -118,7 +118,6 @@ func TestStressConcurrentMixedProtocols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log.StartGroupCommit()
 		return log
 	}
 	env := func(id wire.SiteID, log *wal.Log) Env {

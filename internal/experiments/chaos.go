@@ -33,10 +33,6 @@ type ChaosSpec struct {
 	// CheckpointEvery enables automatic log checkpointing on every site.
 	// Zero keeps it off — the committed E14 numbers run without it.
 	CheckpointEvery int
-	// EpochCommit enables epoch-batched decision sealing on the
-	// coordinator, exposing the seal instant to the fault plan's WAL and
-	// crash points. Off keeps the committed E14 numbers unchanged.
-	EpochCommit bool
 	// Obs, when set, records per-transaction trace events and injected
 	// faults for the episode, so a failing seed's timeline can be printed
 	// (prany-chaos -trace).
@@ -122,7 +118,6 @@ func RunChaosEpisode(seed int64, spec ChaosSpec) (ChaosEpisode, error) {
 		VoteTimeout:     60 * time.Millisecond,
 		ExecTimeout:     400 * time.Millisecond,
 		CheckpointEvery: spec.CheckpointEvery,
-		EpochCommit:     spec.EpochCommit,
 		Seed:            seed,
 		Chaos:           eng,
 		Obs:             spec.Obs,

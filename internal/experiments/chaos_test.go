@@ -79,62 +79,3 @@ func TestChaosTheoremSignal(t *testing.T) {
 		t.Errorf("PrAny under the same plan: %s", prany.Report.Summary())
 	}
 }
-
-// TestChaosEpochSealCrashEdges aims the two new crash points of the epoch
-// tentpole at a PrAny cluster with epoch sealing on: a coordinator crash
-// immediately before the epoch record's force (the whole epoch was never
-// decided — every member must resolve by presumption or retry) and
-// immediately after it (the epoch is durable but NO member's decision was
-// fanned out — recovery must unfold the record and re-drive every member).
-// Both must converge to full Definition-1 correctness, and the point must
-// actually fire for the episode to count.
-func TestChaosEpochSealCrashEdges(t *testing.T) {
-	for _, edge := range []string{"bf", "af"} {
-		point := "coord:" + edge + ":epoch-decision.c:0"
-		cp, err := chaos.ParseCrashPoint(point)
-		if err != nil {
-			t.Fatalf("%s: %v", point, err)
-		}
-		ep, err := RunChaosEpisode(7, ChaosSpec{
-			Strategy:    core.StrategyPrAny,
-			EpochCommit: true,
-			Txns:        10,
-			Quiesce:     4 * time.Second,
-			Plan:        &chaos.Plan{Seed: 7, Crashes: []chaos.CrashPoint{cp}},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", point, err)
-		}
-		if ep.Faults.Crashes == 0 {
-			t.Fatalf("%s: crash point never fired — the epoch path is not logging epoch records", point)
-		}
-		if !ep.Report.OK() {
-			t.Errorf("%s: %s", point, ep.Report.Summary())
-		}
-	}
-}
-
-// TestChaosEpochSweepPrAnyClean is the epoch acceptance sweep: 50 seeded
-// random fault plans (drops, delays, duplicates, partitions, protocol-step
-// crashes, WAL sync failures) over the mixed cluster with epoch sealing on.
-// PrAny must stay operationally correct in every episode — the seal instant
-// is exposed to every fault class the honest sweeps use.
-func TestChaosEpochSweepPrAnyClean(t *testing.T) {
-	seeds := int64(50)
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		ep, err := RunChaosEpisode(seed, ChaosSpec{
-			Strategy:    core.StrategyPrAny,
-			EpochCommit: true,
-			Quiesce:     4 * time.Second,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !ep.Report.OK() {
-			t.Errorf("seed %d: %s", seed, ep.Report.Summary())
-		}
-	}
-}

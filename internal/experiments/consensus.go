@@ -114,8 +114,8 @@ func MeasureConsensus(acceptors, clients, txns int, seed int64) (ConsensusPoint,
 	for _, id := range accIDs {
 		s, err := site.New(site.Config{
 			ID: id, Proto: wire.PrN, Net: accNets[id], PCP: pcp, Met: met,
-			GroupCommit: true, ExecTimeout: 10 * time.Second,
-			Acceptors: accIDs,
+			ExecTimeout: 10 * time.Second,
+			Acceptors:   accIDs,
 		})
 		if err != nil {
 			return pt, err
@@ -126,8 +126,8 @@ func MeasureConsensus(acceptors, clients, txns int, seed int64) (ConsensusPoint,
 	for _, id := range partIDs {
 		s, err := site.New(site.Config{
 			ID: id, Proto: partProtos[id], Net: partNets[id], PCP: pcp, Met: met,
-			GroupCommit: true, ExecTimeout: 10 * time.Second,
-			Acceptors: accIDs,
+			ExecTimeout: 10 * time.Second,
+			Acceptors:   accIDs,
 		})
 		if err != nil {
 			return pt, err
@@ -136,7 +136,7 @@ func MeasureConsensus(acceptors, clients, txns int, seed int64) (ConsensusPoint,
 	}
 	coord, err := site.New(site.Config{
 		ID: "coord", Proto: wire.PrN, Net: coordNet, PCP: pcp, Met: met,
-		GroupCommit: true, ExecTimeout: 10 * time.Second,
+		ExecTimeout: 10 * time.Second,
 		Coordinator: core.CoordinatorConfig{VoteTimeout: 5 * time.Second},
 		Acceptors:   accIDs,
 	})

@@ -55,7 +55,7 @@ type ObsResult struct {
 // batches.
 func MeasureObs(clients, txns int, seed int64, rounds, txnsPerRound int) (ObsResult, error) {
 	var res ObsResult
-	pt, met, err := measurePipeline(true, clients, txns, seed)
+	pt, met, err := measurePipeline(clients, txns, seed)
 	if err != nil {
 		return res, err
 	}

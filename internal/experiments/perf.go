@@ -73,82 +73,6 @@ func MeasurePerf(mix []wire.Protocol, commitRatio float64, txns, clients int, se
 	return pt, nil
 }
 
-// GroupCommitPoint is one cell of the group-commit comparison (E13): the
-// same concurrent commit workload with the log's group-commit flusher off or
-// on, over stores with simulated per-flush device latency. Forces counts the
-// logical force barriers (identical in both modes — the protocol cost is
-// unchanged); Syncs counts the physical flushes behind them, which is where
-// batching shows up.
-type GroupCommitPoint struct {
-	GroupCommit      bool
-	Clients          int
-	Txns             int
-	TxnsPerSec       float64
-	MeanLatency      time.Duration
-	ForcesPerTxn     float64 // logical force barriers per txn, cluster-wide
-	SyncsPerTxn      float64 // physical flushes per txn, cluster-wide
-	CoordSyncsPerTxn float64 // physical flushes per txn at the coordinator
-	MeanBatch        float64 // records per physical flush, cluster-wide
-}
-
-// MeasureGroupCommit runs txns committing transactions over a homogeneous
-// PrC cluster with clients concurrent clients and forceDelay of simulated
-// device latency per flush, with group commit off or on.
-//
-// The shape isolates the coordinator's log as the hot path: PrC participants
-// force once per transaction (the prepared record) on their single-threaded
-// delivery loops, where forces arrive one at a time and cannot batch, while
-// the coordinator's two forced records per commit (initiation and commit)
-// come from the concurrent client goroutines — exactly the pile-up a group
-// commit coalesces.
-func MeasureGroupCommit(group bool, clients, txns int, forceDelay time.Duration, seed int64) (GroupCommitPoint, error) {
-	pt := GroupCommitPoint{GroupCommit: group, Clients: clients, Txns: txns}
-	mix := Homogeneous(wire.PrC, 3)
-	spec := sim.Spec{
-		VoteTimeout: 500 * time.Millisecond,
-		GroupCommit: group,
-		ForceDelay:  forceDelay,
-	}
-	for i, p := range mix {
-		spec.Participants = append(spec.Participants,
-			sim.PartSpec{ID: wire.SiteID(fmt.Sprintf("p%d", i+1)), Proto: p})
-	}
-	cluster, err := sim.New(spec)
-	if err != nil {
-		return pt, err
-	}
-	defer cluster.Close()
-
-	plans := workload.Generate(workload.Spec{
-		Txns:           txns,
-		SitesPerTxn:    len(mix),
-		OpsPerSite:     1,
-		CommitFraction: 1,
-		KeySpace:       1 << 20, // effectively contention-free
-		Seed:           seed,
-	}, cluster.PartIDs())
-
-	res := cluster.RunParallel(plans, clients)
-	if res.Errors > 0 {
-		return pt, fmt.Errorf("experiments: %d errors in group-commit run", res.Errors)
-	}
-	if !cluster.Quiesce(10 * time.Second) {
-		return pt, fmt.Errorf("experiments: group-commit cluster did not quiesce")
-	}
-	if v := cluster.Violations(); len(v) != 0 {
-		return pt, fmt.Errorf("experiments: group-commit run violated correctness: %v", v[0])
-	}
-
-	pt.TxnsPerSec = float64(txns) / res.Elapsed.Seconds()
-	pt.MeanLatency = res.MeanLatency
-	tot := cluster.Met.Total()
-	pt.ForcesPerTxn = float64(tot.Forces) / float64(txns)
-	pt.SyncsPerTxn = float64(tot.Syncs) / float64(txns)
-	pt.CoordSyncsPerTxn = float64(cluster.Met.Site(sim.CoordID).Syncs) / float64(txns)
-	pt.MeanBatch = tot.MeanBatch()
-	return pt, nil
-}
-
 // ReadOnlyPoint is one cell of the read-only ablation (E10).
 type ReadOnlyPoint struct {
 	ReadOnlySites int // how many of the participants only read

@@ -14,15 +14,12 @@ import (
 	"prany/internal/wire"
 )
 
-// PipelinePoint is one cell of the pipelined-commit-stream comparison
-// (E16): the same concurrent commit workload over real TCP with transport
-// frame batching off or on. MsgsPerTxn counts the logical protocol traffic
-// (identical in both modes — the paper's message-complexity tables are
-// untouched); FramesPerTxn counts the physical wire writes behind it, which
-// is where pipelining shows up, exactly as E13's Forces/Syncs split did for
-// the log.
+// PipelinePoint is one cell of the pipelined-commit-stream measurement
+// (E16): a concurrent commit workload over real TCP. MsgsPerTxn counts the
+// logical protocol traffic (the paper's message-complexity tables);
+// FramesPerTxn counts the physical wire writes behind it, which is where
+// pipelining shows up, exactly as the Forces/Syncs split does for the log.
 type PipelinePoint struct {
-	Batching       bool
 	Clients        int
 	Txns           int
 	TxnsPerSec     float64
@@ -41,29 +38,23 @@ type PipelinePoint struct {
 
 // MeasurePipeline runs txns committing transactions over a mixed
 // PrN/PrA/PrC cluster of real TCP processes (one listener per site, exactly
-// the prany-server topology) with clients concurrent client goroutines,
-// with transport frame batching off or on. Off restores one write per
-// message — the pre-pipelining baseline; on lets each link's writer drain
-// whatever accumulated while its previous write was in flight into one
-// multi-frame batch.
-func MeasurePipeline(batching bool, clients, txns int, seed int64) (PipelinePoint, error) {
-	pt, _, err := measurePipeline(batching, clients, txns, seed)
+// the prany-server topology) with clients concurrent client goroutines.
+// Each link's writer drains whatever accumulated while its previous write
+// was in flight into one multi-frame batch.
+func MeasurePipeline(clients, txns int, seed int64) (PipelinePoint, error) {
+	pt, _, err := measurePipeline(clients, txns, seed)
 	return pt, err
 }
 
 // measurePipeline is MeasurePipeline plus the run's metrics registry, so
 // E17 can read the full span histograms (prepare, ack drain, WAL force,
 // frame flush) behind the headline point.
-func measurePipeline(batching bool, clients, txns int, seed int64) (PipelinePoint, *metrics.Registry, error) {
-	pt := PipelinePoint{Batching: batching, Clients: clients, Txns: txns}
+func measurePipeline(clients, txns int, seed int64) (PipelinePoint, *metrics.Registry, error) {
+	pt := PipelinePoint{Clients: clients, Txns: txns}
 	met := metrics.NewRegistry()
 	pcp := core.NewPCP()
 	newNet := func(addrs map[wire.SiteID]string) (*transport.TCPNetwork, error) {
-		o := transport.TCPOptions{Listen: "127.0.0.1:0", Addrs: addrs, Met: met}
-		if !batching {
-			o.MaxBatch = -1
-		}
-		return transport.NewTCPNetwork(o)
+		return transport.NewTCPNetwork(transport.TCPOptions{Listen: "127.0.0.1:0", Addrs: addrs, Met: met})
 	}
 
 	coordNet, err := newNet(nil)
@@ -86,7 +77,7 @@ func measurePipeline(batching bool, clients, txns int, seed int64) (PipelinePoin
 		coordNet.SetAddr(id, net.Addr())
 		s, err := site.New(site.Config{
 			ID: id, Proto: p, Net: net, PCP: pcp, Met: met,
-			GroupCommit: true, ExecTimeout: 10 * time.Second,
+			ExecTimeout: 10 * time.Second,
 		})
 		if err != nil {
 			return pt, met, err
@@ -96,7 +87,7 @@ func measurePipeline(batching bool, clients, txns int, seed int64) (PipelinePoin
 	}
 	coord, err := site.New(site.Config{
 		ID: "coord", Proto: wire.PrN, Net: coordNet, PCP: pcp, Met: met,
-		GroupCommit: true, ExecTimeout: 10 * time.Second,
+		ExecTimeout: 10 * time.Second,
 		Coordinator: core.CoordinatorConfig{VoteTimeout: 5 * time.Second},
 	})
 	if err != nil {

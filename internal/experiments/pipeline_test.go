@@ -1,49 +1,29 @@
 package experiments
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-// TestPipelineBatchingCoalescesFrames runs E16 small: the same concurrent
-// TCP commit workload with frame batching off and on. Off must put every
-// logical message in its own physical frame (MeanFrameBatch exactly 1); on
-// must coalesce at least some of them (MeanFrameBatch > 1, FramesPerTxn <
-// MsgsPerTxn). The logical protocol traffic itself — the paper's
-// message-complexity cost — must not change between modes.
-func TestPipelineBatchingCoalescesFrames(t *testing.T) {
+// TestPipelineCoalescesFrames runs E16 small: a concurrent TCP commit
+// workload must put more than one logical message in the average physical
+// frame (MeanFrameBatch > 1, FramesPerTxn < MsgsPerTxn) while the logical
+// protocol traffic — the paper's message-complexity cost, 6 exec messages
+// plus 11 protocol messages for this mix — stays what the protocols say.
+func TestPipelineCoalescesFrames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-TCP concurrency experiment")
 	}
-	const clients, txns = 16, 300
-
-	off, err := MeasurePipeline(false, clients, txns, 1)
+	pt, err := MeasurePipeline(16, 300, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.MeanFrameBatch != 1 {
-		t.Fatalf("batching off: MeanFrameBatch = %.3f, want exactly 1", off.MeanFrameBatch)
+	if pt.MeanFrameBatch <= 1 {
+		t.Fatalf("MeanFrameBatch = %.3f, want > 1", pt.MeanFrameBatch)
 	}
-	if math.Abs(off.FramesPerTxn-off.MsgsPerTxn) > 1e-9 {
-		t.Fatalf("batching off: frames/txn %.3f != msgs/txn %.3f", off.FramesPerTxn, off.MsgsPerTxn)
+	if pt.FramesPerTxn >= pt.MsgsPerTxn {
+		t.Fatalf("frames/txn %.3f not below msgs/txn %.3f", pt.FramesPerTxn, pt.MsgsPerTxn)
 	}
-
-	on, err := MeasurePipeline(true, clients, txns, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.MeanFrameBatch <= 1 {
-		t.Fatalf("batching on: MeanFrameBatch = %.3f, want > 1", on.MeanFrameBatch)
-	}
-	if on.FramesPerTxn >= on.MsgsPerTxn {
-		t.Fatalf("batching on: frames/txn %.3f not below msgs/txn %.3f", on.FramesPerTxn, on.MsgsPerTxn)
-	}
-
-	// Batching is physical only: the logical message count per transaction
-	// is a protocol constant and must be identical in both modes. (Recovery
-	// timers could in principle add an inquiry under extreme scheduling, so
-	// allow a whisker, not a gap.)
-	if math.Abs(on.MsgsPerTxn-off.MsgsPerTxn) > 0.1 {
-		t.Fatalf("logical msgs/txn drifted with batching: off %.3f, on %.3f", off.MsgsPerTxn, on.MsgsPerTxn)
+	// Decision re-sends during the drain and inquiries on a loaded host add
+	// a fraction of a message; a lost or doubled round would add a whole one.
+	if pt.MsgsPerTxn < 17 || pt.MsgsPerTxn >= 18 {
+		t.Fatalf("logical msgs/txn = %.3f, want 17 and a fraction", pt.MsgsPerTxn)
 	}
 }

@@ -98,14 +98,6 @@ type Config struct {
 	// leaves prepared participants blocked in doubt forever, while the
 	// replicated decider must terminate every one of them.
 	CoordDown bool
-	// EpochCommit passes the coordinator's epoch-batched decision sealing
-	// flag through to the engine under test. The checker runs a serial
-	// scheduler, under which the sealer must be bypassed entirely (the
-	// per-transaction decision path runs unchanged), so every schedule,
-	// hash and verdict is bit-identical with the flag on — the serial
-	// bypass that keeps `prany-check` deterministic with the feature
-	// compiled in. TestEpochCommitSerialBypass pins this.
-	EpochCommit bool
 	// Adversary, when set, makes one site Byzantine (chaos.Adversary). Its
 	// send-side behaviors (vote flips, inquiry lies, suppressed forces) run
 	// always-on as a deterministic automaton; its delivery-side behaviors
@@ -377,9 +369,8 @@ func (ep *episode) boot(vs *vsite, recovered bool) error {
 	switch {
 	case vs.id == CoordID:
 		coordCfg := core.CoordinatorConfig{
-			Strategy:    ep.cfg.Strategy,
-			Native:      ep.cfg.Native,
-			EpochCommit: ep.cfg.EpochCommit,
+			Strategy: ep.cfg.Strategy,
+			Native:   ep.cfg.Native,
 		}
 		if len(ep.acceptors) > 0 {
 			accs := ep.acceptors

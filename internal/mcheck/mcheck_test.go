@@ -201,28 +201,3 @@ func TestBudgetShape(t *testing.T) {
 		t.Fatalf("skip-0 budget has %d plans, want %d", got, 1+11*1+4)
 	}
 }
-
-// TestEpochCommitSerialBypass pins the serial bypass that keeps prany-check
-// deterministic with epoch batching compiled in: an exhaustive PrAny sweep
-// with Config.EpochCommit on must produce exactly the same exploration —
-// state counts, dedup hits, ample-set prunes, schedules and verdicts — as
-// the committed sweep without it, because under the checker's serial
-// scheduler the sealer is never consulted and the per-transaction decision
-// path runs unchanged.
-func TestEpochCommitSerialBypass(t *testing.T) {
-	base := Exhaust(Config{Strategy: core.StrategyPrAny})
-	epoch := Exhaust(Config{Strategy: core.StrategyPrAny, EpochCommit: true})
-	if !base.Clean() || !epoch.Clean() {
-		t.Fatalf("sweeps not clean: base violating=%d epoch violating=%d", base.Violating, epoch.Violating)
-	}
-	type signature struct {
-		plans, explored, deduped, ample, schedules, violating int
-		truncated                                             bool
-	}
-	sig := func(r *Result) signature {
-		return signature{r.Plans, r.Explored, r.Deduped, r.AmpleSteps, r.Schedules, r.Violating, r.Truncated}
-	}
-	if got, want := sig(epoch), sig(base); got != want {
-		t.Fatalf("epoch-enabled sweep diverged from baseline:\n got %+v\nwant %+v", got, want)
-	}
-}

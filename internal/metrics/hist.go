@@ -28,7 +28,7 @@ const (
 	// receipt to acknowledgment sent (decision-record force included).
 	SpanDecision
 	// SpanWALForce is one forced log write: append to durable, the
-	// group-commit wait included.
+	// wait for a shared barrier included.
 	SpanWALForce
 	// SpanFrameFlush is one physical wire write of a frame batch.
 	SpanFrameFlush
@@ -38,10 +38,6 @@ const (
 	// SpanCheckpoint is one log checkpoint: table snapshot, live-record
 	// filter and the stable-image rewrite.
 	SpanCheckpoint
-	// SpanEpochSeal is one epoch seal: the batched decision force plus the
-	// whole epoch's finalize and fan-out — what every member transaction
-	// shares the cost of.
-	SpanEpochSeal
 
 	numSpans
 )
@@ -55,7 +51,6 @@ var spanNames = [numSpans]string{
 	SpanFrameFlush: "frame_flush",
 	SpanRecovery:   "recovery",
 	SpanCheckpoint: "checkpoint",
-	SpanEpochSeal:  "epoch_seal",
 }
 
 // String names the span as it appears in /metrics and bench tables.

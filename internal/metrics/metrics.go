@@ -23,8 +23,8 @@ type SiteCounters struct {
 	PTDelete uint64                  // protocol-table entries discarded
 
 	// Syncs and Synced count the *physical* log flushes behind the Forces:
-	// with group commit one sync covers many forces, so Syncs < Forces is
-	// exactly the batching win. Synced is the records those flushes wrote.
+	// concurrent forces share one barrier, so Syncs < Forces is exactly the
+	// coalescing win. Synced is the records those flushes wrote.
 	Syncs  uint64
 	Synced uint64
 	// ShardWaits counts contended protocol-table shard-lock acquisitions —
@@ -52,17 +52,9 @@ type SiteCounters struct {
 	RecoveryScanned     uint64
 	RecoverySuffix      uint64
 
-	// Decisions and DecisionRecords split logical from physical decision
-	// logging the way Forces/Syncs do for flushes and Messages/Frames do
-	// for the wire: Decisions counts logical decision records fixed
-	// durable (one per transaction, the paper's protocol cost),
-	// DecisionRecords counts the physical WAL records carrying them. With
-	// epoch-batched commit one KRecEpochDecision record carries a whole
-	// epoch, so DecisionRecords < Decisions is exactly the epoch win; the
-	// per-transaction logical counts the paper's tables assert are
-	// unchanged.
-	Decisions       uint64
-	DecisionRecords uint64
+	// Decisions counts decision records fixed durable in the local log —
+	// one per transaction that logs its decision, the paper's protocol cost.
+	Decisions uint64
 
 	// Frames, FramesBatched and BytesOnWire count the *physical* network
 	// writes behind the Messages, the same split Syncs/Synced make for
@@ -91,15 +83,6 @@ func (c SiteCounters) MeanFrameBatch() float64 {
 		return 0
 	}
 	return float64(c.FramesBatched) / float64(c.Frames)
-}
-
-// MeanEpoch is the average number of logical decisions per physical
-// decision record — the epoch population. 1.0 without epoch batching.
-func (c SiteCounters) MeanEpoch() float64 {
-	if c.DecisionRecords == 0 {
-		return 0
-	}
-	return float64(c.Decisions) / float64(c.DecisionRecords)
 }
 
 // Retained is the number of protocol-table entries not yet discarded.
@@ -191,15 +174,11 @@ func (r *Registry) ResendSuppressed(id wire.SiteID, n int) {
 	r.site(id).ResendsSuppressed += uint64(n)
 }
 
-// Decision records logical decisions fixed durable at site id in records
-// physical WAL records (the single-record path passes 1,1; an epoch seal
-// passes the epoch population and 1).
-func (r *Registry) Decision(id wire.SiteID, logical, records int) {
+// Decision records one decision record fixed durable at site id.
+func (r *Registry) Decision(id wire.SiteID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.site(id)
-	c.Decisions += uint64(logical)
-	c.DecisionRecords += uint64(records)
+	r.site(id).Decisions++
 }
 
 // Frame records one physical network write by site from carrying msgs
@@ -291,7 +270,6 @@ func (r *Registry) Total() SiteCounters {
 		out.RecoveryScanned += c.RecoveryScanned
 		out.RecoverySuffix += c.RecoverySuffix
 		out.Decisions += c.Decisions
-		out.DecisionRecords += c.DecisionRecords
 		out.Frames += c.Frames
 		out.FramesBatched += c.FramesBatched
 		out.BytesOnWire += c.BytesOnWire

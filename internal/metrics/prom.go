@@ -55,8 +55,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	counter("prany_recovery_scanned_total", "Stable records read by recovery scans.", func(c *SiteCounters) uint64 { return c.RecoveryScanned })
 	counter("prany_recovery_suffix_total", "Recovery-scanned records after the last checkpoint record.", func(c *SiteCounters) uint64 { return c.RecoverySuffix })
 	counter("prany_net_retries_total", "Transport-level send retries.", func(c *SiteCounters) uint64 { return c.NetRetries })
-	counter("prany_decisions_total", "Logical decision records fixed durable.", func(c *SiteCounters) uint64 { return c.Decisions })
-	counter("prany_decision_records_total", "Physical WAL records carrying decisions.", func(c *SiteCounters) uint64 { return c.DecisionRecords })
+	counter("prany_decisions_total", "Decision records fixed durable.", func(c *SiteCounters) uint64 { return c.Decisions })
 	counter("prany_frames_total", "Physical network writes.", func(c *SiteCounters) uint64 { return c.Frames })
 	counter("prany_frames_batched_total", "Message frames carried by physical writes.", func(c *SiteCounters) uint64 { return c.FramesBatched })
 	counter("prany_bytes_on_wire_total", "Encoded bytes written to the network.", func(c *SiteCounters) uint64 { return c.BytesOnWire })

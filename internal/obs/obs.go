@@ -41,7 +41,7 @@ const (
 	EvPrepareSend
 	EvPrepareRecv
 	// EvForce: one forced log write (span; Dur covers the append-and-sync,
-	// group-commit wait included). Note names the record kind.
+	// wait for a shared barrier included). Note names the record kind.
 	EvForce
 	// EvVote: a participant voted (Note: yes/no/readonly). EvVoteRecv: the
 	// vote arrived at the coordinator from Peer.
@@ -72,10 +72,6 @@ const (
 	EvDelay
 	EvDup
 	EvWALFail
-	// EvEpochSeal: the coordinator sealed one commit epoch — one forced
-	// record and one fan-out for every member transaction (span; Note is
-	// the epoch population).
-	EvEpochSeal
 
 	numKinds
 )
@@ -100,7 +96,6 @@ var kindNames = [numKinds]string{
 	EvDelay:        "chaos-delay",
 	EvDup:          "chaos-dup",
 	EvWALFail:      "chaos-walfail",
-	EvEpochSeal:    "epoch-seal",
 }
 
 // String names the kind as it appears in exports.

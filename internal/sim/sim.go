@@ -53,20 +53,9 @@ type Spec struct {
 	VoteTimeout time.Duration
 	// ReadOnlyOpt enables the read-only voting optimization everywhere.
 	ReadOnlyOpt bool
-	// GroupCommit enables the group-commit flusher on every site's log:
-	// concurrent force-writes coalesce into shared physical flushes.
-	GroupCommit bool
 	// ForceDelay simulates per-flush device latency on every site's log
-	// store, making the batching win of GroupCommit measurable. Zero means
-	// instantaneous flushes.
+	// store. Zero means instantaneous flushes.
 	ForceDelay time.Duration
-	// EpochCommit enables epoch-batched decision sealing on the
-	// coordinator site: concurrent record-bearing decisions share one
-	// forced KRecEpochDecision record and one fan-out batch.
-	EpochCommit bool
-	// EpochWindow is the opt-in epoch linger; zero means pure piggybacking
-	// (seal whatever is pending the moment the sealer is free).
-	EpochWindow time.Duration
 	// CheckpointEvery enables automatic log checkpointing on every site:
 	// after that many forced records a checkpoint garbage-collects the log
 	// and writes a RecCheckpoint snapshot. Zero disables it (the historical
@@ -192,9 +181,6 @@ func New(spec Spec) (*Cluster, error) {
 		Hist:            c.Hist,
 		Met:             c.Met,
 		ReadOnlyOpt:     spec.ReadOnlyOpt,
-		GroupCommit:     spec.GroupCommit,
-		EpochCommit:     spec.EpochCommit,
-		EpochWindow:     spec.EpochWindow,
 		CheckpointEvery: spec.CheckpointEvery,
 		ExecTimeout:     spec.ExecTimeout,
 		LogStore:        newLogStore(CoordID),
@@ -213,7 +199,6 @@ func New(spec Spec) (*Cluster, error) {
 			PCP:             c.PCP,
 			Hist:            c.Hist,
 			Met:             c.Met,
-			GroupCommit:     spec.GroupCommit,
 			CheckpointEvery: spec.CheckpointEvery,
 			LogStore:        newLogStore(id),
 			Coordinator:     core.CoordinatorConfig{VoteTimeout: spec.VoteTimeout},
@@ -235,7 +220,6 @@ func New(spec Spec) (*Cluster, error) {
 			Hist:              c.Hist,
 			Met:               c.Met,
 			ReadOnlyOpt:       spec.ReadOnlyOpt,
-			GroupCommit:       spec.GroupCommit,
 			CheckpointEvery:   spec.CheckpointEvery,
 			ExecTimeout:       spec.ExecTimeout,
 			LogStore:          newLogStore(p.ID),

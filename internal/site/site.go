@@ -52,18 +52,6 @@ type Config struct {
 	ReadOnlyOpt bool
 	// ExecTimeout bounds one remote operation batch. Zero means 2s.
 	ExecTimeout time.Duration
-	// GroupCommit enables the log's group-commit flusher: concurrent
-	// force-writes coalesce into shared physical flushes (each caller
-	// still blocks until its record is durable). See wal.StartGroupCommit.
-	GroupCommit bool
-	// EpochCommit enables epoch-batched decision sealing on the site's
-	// coordinator: concurrent record-bearing decisions share one forced
-	// KRecEpochDecision record and one cross-transaction fan-out batch.
-	// Off by default so every committed BENCH number reproduces unchanged.
-	EpochCommit bool
-	// EpochWindow is the opt-in epoch linger (see
-	// core.CoordinatorConfig.EpochWindow). Zero means pure piggybacking.
-	EpochWindow time.Duration
 	// CheckpointEvery, when positive, checkpoints the log automatically
 	// every time that many records have been forced since the last
 	// checkpoint. Each checkpoint garbage-collects terminated transactions'
@@ -165,9 +153,6 @@ func (s *Site) start(runRecovery bool) error {
 		met, id := s.cfg.Met, s.cfg.ID
 		log.OnSync(func(records int) { met.Sync(id, records) })
 	}
-	if s.cfg.GroupCommit {
-		log.StartGroupCommit()
-	}
 	if s.cfg.CheckpointEvery > 0 {
 		// The trigger fires under the log lock; the checkpoint itself runs
 		// on its own goroutine. Errors (a crash racing the checkpoint) are
@@ -195,8 +180,6 @@ func (s *Site) start(runRecovery bool) error {
 	part := core.NewParticipant(env, s.cfg.Proto, s.rm, s.cfg.ReadOnlyOpt)
 	part.SetCoordinators(s.cfg.KnownCoordinators)
 	coordCfg := s.cfg.Coordinator
-	coordCfg.EpochCommit = s.cfg.EpochCommit
-	coordCfg.EpochWindow = s.cfg.EpochWindow
 	var acc *consensus.Acceptor
 	if len(s.cfg.Acceptors) > 0 {
 		acceptors := s.cfg.Acceptors
@@ -387,13 +370,12 @@ func (s *Site) Crash() {
 	}); ok {
 		d.SetDown(s.cfg.ID, true)
 	}
-	// Stop the group-commit flusher before the restart opens a new Log on
-	// the same store; its waiters fail with ErrLost, like the in-flight
-	// force-writes a real crash loses.
-	log.StopGroupCommit()
-	// Stop the coordinator's epoch sealer and deadline wheel likewise: their
-	// waiters fail with ErrSiteDown, and recovery builds a fresh coordinator.
+	// Stop the coordinator's deadline wheel: its waiters wake as if timed
+	// out and fail on the dead site; recovery builds a fresh coordinator.
 	coord.Stop()
+	// The log waits out a write in flight, then fails the forcing callers
+	// still queued behind it with ErrLost — the force-writes a real crash
+	// loses — before the restart opens a new Log on the same store.
 	log.Crash()
 	s.rm.Crash()
 	if s.cfg.Hist != nil {
@@ -501,12 +483,6 @@ func (s *Site) Checkpoint() (int, error) {
 			return acc != nil && acc.LiveRecord(rec)
 		}
 		if rec.Role == wal.RoleCoord {
-			if rec.Kind == wal.KRecEpochDecision {
-				// One record, many transactions: the record stays as long as
-				// ANY member is live. Terminated members' logical decisions
-				// ride along harmlessly — recovery skips ended transactions.
-				return rec.EpochLive(coord.Live)
-			}
 			return coord.Live(rec.Txn)
 		}
 		return part.Live(rec.Txn)

@@ -17,10 +17,11 @@ import (
 // local sites behind a single listener; remote sites are reached through an
 // address book.
 //
-// The outbound path is a pipelined commit stream, mirroring the WAL's
-// group-commit flusher: Send enqueues onto a per-destination FIFO and a
-// per-destination writer goroutine drains the queue into one multi-frame
-// batch per physical write. Many logical messages ride one syscall the same
+// The outbound path is a pipelined commit stream: Send enqueues onto a
+// per-destination FIFO and a per-destination writer goroutine drains the
+// queue into one multi-frame batch per physical write — whatever accumulated
+// while the previous write was in flight, so an idle link adds no latency
+// and a loaded one batches exactly as hard as it is loaded. Many logical messages ride one syscall the same
 // way many forced log writes ride one fsync; the Frames/FramesBatched
 // counters record the split. Dials and write failures are retried under
 // capped jittered exponential backoff; a batch still undeliverable after
@@ -43,8 +44,6 @@ type TCPNetwork struct {
 	maxRetries   int
 	retryBase    time.Duration
 	retryCap     time.Duration
-	maxBatch     int
-	batchWindow  time.Duration
 
 	// jitterMu guards jitter, the backoff randomizer: every link writer
 	// shares it and rand.Rand is not concurrency-safe.
@@ -110,18 +109,6 @@ type TCPOptions struct {
 	RetryBase time.Duration
 	// RetryCap bounds each backoff step. Zero means 500ms.
 	RetryCap time.Duration
-	// MaxBatch caps how many message frames one physical write may carry.
-	// Zero means 128; 1 (or negative) disables coalescing — every message
-	// gets its own write, the pre-pipelining behavior.
-	MaxBatch int
-	// BatchWindow, when positive, is how long a link writer lingers for
-	// more traffic after finding its queue non-empty but its batch short,
-	// trading that much latency per flush for fuller frames. Zero (the
-	// default) flushes immediately with whatever the queue held: batching
-	// then comes from messages that accumulated while the previous write
-	// was in flight — the WAL flusher's design, which adds no latency when
-	// the link is idle and batches exactly as hard as the link is loaded.
-	BatchWindow time.Duration
 	// Met, if set, receives transport counters (frames, batched messages,
 	// bytes on wire, send retries) charged per sending site.
 	Met *metrics.Registry
@@ -143,8 +130,6 @@ func NewTCPNetwork(opts TCPOptions) (*TCPNetwork, error) {
 		maxRetries:   opts.MaxRetries,
 		retryBase:    opts.RetryBase,
 		retryCap:     opts.RetryCap,
-		maxBatch:     opts.MaxBatch,
-		batchWindow:  opts.BatchWindow,
 		jitter:       rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if n.logf == nil {
@@ -166,14 +151,6 @@ func NewTCPNetwork(opts TCPOptions) (*TCPNetwork, error) {
 	}
 	if n.retryCap <= 0 {
 		n.retryCap = 500 * time.Millisecond
-	}
-	if n.maxBatch == 0 {
-		n.maxBatch = 128
-	} else if n.maxBatch < 1 {
-		n.maxBatch = 1
-	}
-	if n.batchWindow < 0 {
-		n.batchWindow = 0
 	}
 	for id, a := range opts.Addrs {
 		n.addrs[id] = a
@@ -351,42 +328,6 @@ func (l *outLink) waitBatch(max int) []wire.Message {
 	}
 }
 
-// topUp lingers up to window for more traffic, appending to batch until the
-// size cap or the timer wins. The size cap beats the timer: a batch that
-// fills returns immediately without waiting the window out.
-func (l *outLink) topUp(batch []wire.Message, max int, window time.Duration) []wire.Message {
-	timer := time.NewTimer(window)
-	defer timer.Stop()
-	for len(batch) < max {
-		select {
-		case <-l.wake:
-			l.mu.Lock()
-			if l.closed {
-				l.mu.Unlock()
-				return batch
-			}
-			k := len(l.queue)
-			if k > max-len(batch) {
-				k = max - len(batch)
-			}
-			batch = append(batch, l.queue[:k]...)
-			rem := copy(l.queue, l.queue[k:])
-			l.queue = l.queue[:rem]
-			leftover := rem > 0
-			l.mu.Unlock()
-			if leftover {
-				// We consumed the wake token but left traffic queued;
-				// republish it so the next waitBatch doesn't sleep on a
-				// non-empty queue.
-				l.signal()
-			}
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
 func (l *outLink) close() {
 	l.mu.Lock()
 	l.closed = true
@@ -400,19 +341,18 @@ func (l *outLink) close() {
 	l.signal()
 }
 
-// runLink is the link's writer goroutine: the network-side twin of the
-// WAL's flushLoop. It claims a batch, optionally lingers the flush window
-// for stragglers, and hands the batch to deliverBatch for one physical
-// write.
+// maxBatch caps how many message frames one physical write may carry, so one
+// write's encode buffer and the peer's per-read work stay bounded.
+const maxBatch = 128
+
+// runLink is the link's writer goroutine: it claims a batch and hands it to
+// deliverBatch for one physical write.
 func (n *TCPNetwork) runLink(l *outLink) {
 	defer n.wg.Done()
 	for {
-		batch := l.waitBatch(n.maxBatch)
+		batch := l.waitBatch(maxBatch)
 		if batch == nil {
 			return
-		}
-		if n.batchWindow > 0 && len(batch) < n.maxBatch {
-			batch = l.topUp(batch, n.maxBatch, n.batchWindow)
 		}
 		n.deliverBatch(l, batch)
 		l.scratch = batch[:0]

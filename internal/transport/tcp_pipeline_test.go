@@ -74,69 +74,26 @@ func TestTCPBatchCoalescesFrames(t *testing.T) {
 	}
 }
 
-// TestTCPBatchingDisabledOneFramePerMessage: MaxBatch 1 restores the
-// pre-pipelining behavior — one physical write per message — which is the
-// E16 off-baseline.
-func TestTCPBatchingDisabledOneFramePerMessage(t *testing.T) {
+// TestTCPBatchSizeCap: one physical write carries at most maxBatch frames,
+// so a burst of twice that, queued atomically, leaves as two full frames in
+// FIFO order.
+func TestTCPBatchSizeCap(t *testing.T) {
 	reg := metrics.NewRegistry()
-	_, p, client := tcpPair(t, TCPOptions{Met: reg, MaxBatch: -1})
+	_, p, client := tcpPair(t, TCPOptions{Met: reg})
 
-	const msgs = 10
-	batch := make([]wire.Message, msgs)
+	batch := make([]wire.Message, 2*maxBatch)
 	for i := range batch {
 		batch[i] = msg("c", "p", uint64(i))
 	}
 	client.SendBatch(batch)
-
-	p.waitN(t, msgs)
-	c := reg.Site("c")
-	if c.Frames != msgs || c.FramesBatched != msgs {
-		t.Fatalf("Frames=%d FramesBatched=%d, want %d/%d with batching off", c.Frames, c.FramesBatched, msgs, msgs)
-	}
-}
-
-// TestTCPSizeCapBeatsFlushWindow: a full batch flushes immediately — the
-// size cap wins the race against a long flush-window timer, so a burst of
-// 2x MaxBatch messages arrives as two full frames in far less time than one
-// window.
-func TestTCPSizeCapBeatsFlushWindow(t *testing.T) {
-	reg := metrics.NewRegistry()
-	const window = 2 * time.Second
-	_, p, client := tcpPair(t, TCPOptions{Met: reg, MaxBatch: 4, BatchWindow: window})
-
-	batch := make([]wire.Message, 8)
-	for i := range batch {
-		batch[i] = msg("c", "p", uint64(i))
-	}
-	start := time.Now()
-	client.SendBatch(batch)
-	p.waitN(t, 8)
-	if elapsed := time.Since(start); elapsed > window/2 {
-		t.Fatalf("full batches took %v to flush; writer waited out the window", elapsed)
+	for i, m := range p.waitN(t, len(batch)) {
+		if m.Txn.Seq != uint64(i) {
+			t.Fatalf("message %d arrived at position %d", m.Txn.Seq, i)
+		}
 	}
 	c := reg.Site("c")
-	if c.Frames != 2 || c.FramesBatched != 8 {
-		t.Fatalf("Frames=%d FramesBatched=%d, want 2/8: size cap not honored", c.Frames, c.FramesBatched)
-	}
-}
-
-// TestTCPFlushWindowCollectsStragglers: a short batch lingers for the flush
-// window, and traffic sent inside the window rides the same frame. The
-// window timer is the losing side of the race pinned by the previous test.
-func TestTCPFlushWindowCollectsStragglers(t *testing.T) {
-	reg := metrics.NewRegistry()
-	_, p, client := tcpPair(t, TCPOptions{Met: reg, BatchWindow: 100 * time.Millisecond})
-
-	client.Send(msg("c", "p", 0))
-	time.Sleep(20 * time.Millisecond) // inside the window
-	client.Send(msg("c", "p", 1))
-	got := p.waitN(t, 2)
-	if got[0].Txn.Seq != 0 || got[1].Txn.Seq != 1 {
-		t.Fatalf("window reordered traffic: %v", got)
-	}
-	c := reg.Site("c")
-	if c.Frames != 1 || c.FramesBatched != 2 {
-		t.Fatalf("Frames=%d FramesBatched=%d, want 1/2: straggler missed the window", c.Frames, c.FramesBatched)
+	if c.Frames != 2 || c.FramesBatched != uint64(len(batch)) {
+		t.Fatalf("Frames=%d FramesBatched=%d, want 2/%d: size cap not honored", c.Frames, c.FramesBatched, len(batch))
 	}
 }
 

@@ -267,7 +267,6 @@ func TestCheckpointUnderConcurrentForcing(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, _ := Open(fs)
-	l.StartGroupCommit()
 	const writers, per = 4, 40
 	var wg sync.WaitGroup
 	lsnCh := make(chan uint64, writers*per)
@@ -318,7 +317,6 @@ func TestCheckpointUnderConcurrentForcing(t *testing.T) {
 			t.Fatalf("forced LSN %d appears %d times after checkpoints", lsn, got[lsn])
 		}
 	}
-	l.StopGroupCommit()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -230,13 +230,10 @@ func appendFrame(dst []byte, r *Record) []byte {
 //	nwrites:u32 {key:str old:str oldExists:u8 new:str newExists:u8}*
 //	nckpt:u32 {txnCoord:str txnSeq:u64 role:u8 phase:u8 decided:u8 outcome:u8 coord:str}*
 //	ballot:u32  nvotes:u32 {part:str vote:u8 bal:u32}*
-//	[nmembers:u32 {txnCoord:str txnSeq:u64 outcome:u8 nparts:u32 {id:str proto:u8}*}*]
 //
-// The members section is optional-trailing: it is written only when the
-// record carries epoch members, and a decoder reads it only when bytes
-// remain after the votes — so records written before the section existed
-// decode unchanged, and records without members stay byte-identical to the
-// old format.
+// An earlier format had a tenth kind (9, the epoch decision) whose records
+// carried one more section after the votes. decodeRecord refuses both by
+// name (ErrRetiredFormat) instead of decoding such a log to something else.
 func encodeRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, byte(r.Kind))
 	dst = append(dst, byte(r.Role))
@@ -274,27 +271,29 @@ func encodeRecord(dst []byte, r *Record) []byte {
 		dst = append(dst, byte(v.Vote))
 		dst = binary.LittleEndian.AppendUint32(dst, v.Bal)
 	}
-	if len(r.Members) > 0 {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Members)))
-		for _, m := range r.Members {
-			dst = appendString(dst, string(m.Txn.Coord))
-			dst = binary.LittleEndian.AppendUint64(dst, m.Txn.Seq)
-			dst = append(dst, byte(m.Outcome))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Participants)))
-			for _, p := range m.Participants {
-				dst = appendString(dst, string(p.ID))
-				dst = append(dst, byte(p.Proto))
-			}
-		}
-	}
 	return dst
 }
+
+// ErrRetiredFormat is returned (wrapped) when a log holds a record only an
+// older binary wrote: the epoch decision kind, or bytes after the votes
+// section where that kind kept its members.
+var ErrRetiredFormat = errors.New("wal: record in a retired format")
 
 func decodeRecord(p []byte) (Record, error) {
 	d := recDecoder{b: p}
 	var r Record
 	r.Kind = Kind(d.u8())
 	r.Role = Role(d.u8())
+	if d.err == nil {
+		switch {
+		case r.Kind == numKinds:
+			return Record{}, fmt.Errorf("%w: kind %d (epoch decision)", ErrRetiredFormat, r.Kind)
+		case r.Kind > numKinds:
+			return Record{}, fmt.Errorf("unknown record kind %d", r.Kind)
+		case r.Role >= numRoles:
+			return Record{}, fmt.Errorf("unknown record role %d", r.Role)
+		}
+	}
 	r.LSN = d.u64()
 	r.Txn.Coord = wire.SiteID(d.str())
 	r.Txn.Seq = d.u64()
@@ -349,34 +348,11 @@ func decodeRecord(p []byte) (Record, error) {
 		v.Bal = d.u32()
 		r.Votes = append(r.Votes, v)
 	}
-	if d.err == nil && d.off < len(p) {
-		nmembers := d.u32()
-		if d.err == nil && int(nmembers) > len(p) {
-			return Record{}, fmt.Errorf("implausible epoch-member count %d", nmembers)
-		}
-		for i := uint32(0); i < nmembers && d.err == nil; i++ {
-			var m EpochMember
-			m.Txn.Coord = wire.SiteID(d.str())
-			m.Txn.Seq = d.u64()
-			m.Outcome = wire.Outcome(d.u8())
-			mparts := d.u32()
-			if d.err == nil && int(mparts) > len(p) {
-				return Record{}, fmt.Errorf("implausible epoch-member participant count %d", mparts)
-			}
-			for j := uint32(0); j < mparts && d.err == nil; j++ {
-				var pi ParticipantInfo
-				pi.ID = wire.SiteID(d.str())
-				pi.Proto = wire.Protocol(d.u8())
-				m.Participants = append(m.Participants, pi)
-			}
-			r.Members = append(r.Members, m)
-		}
-	}
 	if d.err != nil {
 		return Record{}, d.err
 	}
 	if d.off != len(p) {
-		return Record{}, fmt.Errorf("%d trailing bytes in record", len(p)-d.off)
+		return Record{}, fmt.Errorf("%w: %d bytes after the votes section", ErrRetiredFormat, len(p)-d.off)
 	}
 	return r, nil
 }

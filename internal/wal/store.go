@@ -56,7 +56,7 @@ type MemStore struct {
 	FailNextAppend error
 	// delay models device latency: every Append (one fsync batch) sleeps
 	// this long while holding the store's lock, like a real serialized
-	// flush. Group-commit experiments use it to make batching measurable.
+	// flush. Tests and experiments use it to make force coalescing visible.
 	delay time.Duration
 }
 
@@ -193,15 +193,6 @@ func cloneRecord(r *Record) Record {
 	}
 	if r.Ckpt != nil {
 		out.Ckpt = append([]CheckpointEntry(nil), r.Ckpt...)
-	}
-	if r.Members != nil {
-		out.Members = make([]EpochMember, len(r.Members))
-		for j, m := range r.Members {
-			out.Members[j] = m
-			if m.Participants != nil {
-				out.Members[j].Participants = append([]ParticipantInfo(nil), m.Participants...)
-			}
-		}
 	}
 	return out
 }

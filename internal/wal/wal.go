@@ -15,14 +15,15 @@
 // Records, and Checkpoint garbage-collects records of terminated
 // transactions by rewriting the stable image with only live records.
 //
-// Group commit (StartGroupCommit) decouples the force-write *contract* from
-// the physical write: AppendForce callers enqueue their record and block
-// while a single flusher goroutine coalesces every pending record into one
-// Store.Append batch — one fsync for many concurrent transactions — and
-// each caller unblocks only once its record is durable. The protocols'
-// forced-write points are unchanged; only the number of physical barriers
-// shrinks. Stats separates the two notions: Forces counts requested
-// barriers, Syncs counts physical batches.
+// The force barrier is shared, leader/follower: a forcing caller that finds
+// no write in flight writes the whole buffer through itself, with the log
+// unlocked; callers arriving meanwhile append behind it and wait, and the
+// first of them performs the next write for all of them — one fsync for many
+// concurrent transactions, and exactly one Store.Append on the caller's own
+// goroutine when nobody else is forcing. The protocols' forced-write points
+// are unchanged; only the number of physical barriers shrinks. Stats
+// separates the two notions: Forces counts requested barriers, Syncs counts
+// physical batches.
 package wal
 
 import (
@@ -84,22 +85,18 @@ const (
 	// their ballot are stable — the acceptor set is the replicated
 	// decision's log, so these forces are the decision's durability.
 	KPaxosAccept
-	// KRecEpochDecision is the coordinator's batched decision record: one
-	// physical forced record carrying the decisions (Members) of every
-	// transaction sealed into one commit epoch. Logically it is N decision
-	// records — recovery, checkpoint collection and the Definition-1
-	// judges unfold it per member — so the protocols' forced-write points
-	// are unchanged; only the physical record count shrinks (the E13/E16
-	// logical-vs-physical split applied to decisions).
-	KRecEpochDecision
+
+	// numKinds bounds the live kinds. Value 9 was the epoch-decision record
+	// of an earlier format; decoding rejects it by name (ErrRetiredFormat).
+	numKinds
 )
 
-var kindNames = [...]string{"initiation", "commit", "abort", "end", "prepared", "remote-writes", "rec-checkpoint",
-	"paxos-promise", "paxos-accept", "epoch-decision"}
+var kindNames = [numKinds]string{"initiation", "commit", "abort", "end", "prepared", "remote-writes", "rec-checkpoint",
+	"paxos-promise", "paxos-accept"}
 
 // String returns the record kind's name.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
+	if k < numKinds {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
@@ -121,6 +118,8 @@ const (
 	// and participant streams means recovery of those roles never scans
 	// consensus state.
 	RoleAcceptor
+
+	numRoles
 )
 
 // String returns "coord", "part" or "acceptor".
@@ -203,16 +202,6 @@ type CheckpointEntry struct {
 	Coord wire.SiteID
 }
 
-// EpochMember is one transaction's decision inside a KRecEpochDecision
-// record: the transaction, its outcome, and — exactly as on a standalone
-// decision record — the participant set recovery needs to re-drive the
-// decision phase.
-type EpochMember struct {
-	Txn          wire.TxnID
-	Outcome      wire.Outcome
-	Participants []ParticipantInfo
-}
-
 // Record is a single log record. Only the fields relevant to the Kind are
 // populated.
 type Record struct {
@@ -245,23 +234,6 @@ type Record struct {
 	// Votes is set on KPaxosAccept records: the accepted per-instance
 	// values stable at that ballot.
 	Votes []VoteInfo
-
-	// Members is set on KRecEpochDecision records: the per-transaction
-	// decisions the epoch record batches. Consumers treat the record as
-	// len(Members) logical decision records.
-	Members []EpochMember
-}
-
-// EpochLive reports whether an epoch decision record is still live given a
-// per-transaction liveness predicate: the physical record must survive as
-// long as ANY member transaction still needs its decision durable.
-func (r *Record) EpochLive(live func(wire.TxnID) bool) bool {
-	for _, m := range r.Members {
-		if live(m.Txn) {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats counts logging activity. The commit protocols are compared by
@@ -269,7 +241,7 @@ func (r *Record) EpochLive(live func(wire.TxnID) bool) bool {
 type Stats struct {
 	Appends     uint64 // records appended (forced or not)
 	Forces      uint64 // Force barriers requested (AppendForce counts one)
-	Syncs       uint64 // physical Store.Append batches (== non-empty Forces without group commit)
+	Syncs       uint64 // physical Store.Append batches (<= Forces: concurrent barriers share one)
 	Synced      uint64 // records made stable by those batches
 	MaxSync     uint64 // largest single batch, in records
 	Stable      uint64 // records currently stable
@@ -281,19 +253,30 @@ type Log struct {
 	mu      sync.Mutex
 	store   Store
 	stable  []Record // records known stable
-	buffer  []Record // appended but not yet forced; lost on Crash
+	buffer  []Record // appended but not yet stable; lost on Crash
 	nextLSN uint64
 	stats   Stats
 	closed  bool
 	tap     func(rec Record, forced bool)
 
+	// The force barrier. writing is set while a leader is in Store.Append
+	// with l.mu released; the records it is writing stay at the front of
+	// buffer until the write succeeds. next collects the forcing callers that
+	// arrived meanwhile. holds counts Crash, Close and Checkpoint calls that
+	// are waiting on idle for the write in flight to end: while it is nonzero
+	// no new round starts, so they cannot be starved by back-to-back rounds.
+	writing bool
+	next    *round
+	holds   int
+	idle    sync.Cond
+
 	// ckptMu serializes checkpoints against each other. It is taken before
-	// l.mu and held across the whole checkpoint, including the bulk rewrite
-	// that runs with l.mu released.
+	// l.mu and held across the whole checkpoint, including the filtering and
+	// the bulk rewrite that run with l.mu released.
 	ckptMu sync.Mutex
 	// crashEpoch increments on Crash, so a checkpoint that released l.mu
-	// for its bulk write can detect a crash that raced it and abandon the
-	// rewrite instead of committing a post-crash image swap.
+	// can detect a crash that raced it and abandon the rewrite instead of
+	// committing a post-crash image swap.
 	crashEpoch uint64
 	// sinceCkpt counts records made stable since the last checkpoint;
 	// when it reaches ckptEvery the trigger fires (once, until the next
@@ -303,39 +286,20 @@ type Log struct {
 	ckptTrigger func()
 	ckptPending bool
 
-	// Group-commit state. When group is set, a flusher goroutine owns the
-	// physical barrier: forcing callers register a waiter and block until
-	// the flusher has written (at least) their record through.
-	group     bool
-	flushCond *sync.Cond
-	waiters   []gcWaiter
-	onSync    func(records int)
+	onSync func(records int)
 }
 
-// gcWaiter is one blocked forcing caller: ch receives the outcome of the
-// barrier covering LSN lsn (buffered so the flusher never blocks on it).
-type gcWaiter struct {
-	lsn uint64
-	ch  chan error
-}
-
-// gcWaiterChans recycles waiter channels: every waiter gets exactly one
-// send (flusher, crash, or close) and its caller does exactly one receive,
-// so a received-from channel is empty and safe to reuse. At thousands of
-// forces per second per site the per-force channel allocation is
-// measurable GC pressure.
-var gcWaiterChans = sync.Pool{New: func() any { return make(chan error, 1) }}
-
-// newGCWaiter takes a pooled waiter channel.
-func newGCWaiter(lsn uint64) gcWaiter {
-	return gcWaiter{lsn: lsn, ch: gcWaiterChans.Get().(chan error)}
-}
-
-// gcWait blocks on the waiter's answer and recycles its channel.
-func gcWait(w gcWaiter) error {
-	err := <-w.ch
-	gcWaiterChans.Put(w.ch)
-	return err
+// round is one pending barrier: the forcing callers that found a write in
+// flight, all receiving from wake. When that write ends, one true is sent:
+// the member that receives it performs the next physical write for all of
+// them. The others receive false when wake is closed, once err is final.
+type round struct {
+	wake  chan bool
+	err   error
+	batch []Record // set before the true is sent: what the promoted member writes
+	// lsns are the records members are blocked on; a concurrent checkpoint
+	// never collects them, dead or not.
+	lsns []uint64
 }
 
 // SetTap installs an observer invoked for every appended record, with
@@ -352,7 +316,7 @@ func (l *Log) SetTap(tap func(rec Record, forced bool)) {
 var ErrClosed = errors.New("wal: log is closed")
 
 // ErrLost is returned to forcing callers whose records were discarded by a
-// crash before the flusher made them stable: the force did not happen.
+// crash while they waited for a round: the force did not happen.
 var ErrLost = errors.New("wal: buffered records lost in crash before force completed")
 
 // ErrCheckpointAborted is returned when a crash raced a checkpoint's bulk
@@ -368,6 +332,7 @@ func Open(store Store) (*Log, error) {
 		return nil, fmt.Errorf("wal: loading stable records: %w", err)
 	}
 	l := &Log{store: store, stable: recs}
+	l.idle.L = &l.mu
 	for _, r := range recs {
 		if r.LSN >= l.nextLSN {
 			l.nextLSN = r.LSN + 1
@@ -375,6 +340,18 @@ func Open(store Store) (*Log, error) {
 	}
 	l.stats.Stable = uint64(len(recs))
 	return l, nil
+}
+
+// appendLocked buffers rec and returns its LSN. The caller holds l.mu.
+func (l *Log) appendLocked(rec Record, forced bool) uint64 {
+	rec.LSN = l.nextLSN
+	l.nextLSN++
+	l.buffer = append(l.buffer, rec)
+	l.stats.Appends++
+	if l.tap != nil {
+		l.tap(rec, forced)
+	}
+	return rec.LSN
 }
 
 // Append buffers rec as a non-forced write and returns its LSN. The record
@@ -385,14 +362,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	rec.LSN = l.nextLSN
-	l.nextLSN++
-	l.buffer = append(l.buffer, rec)
-	l.stats.Appends++
-	if l.tap != nil {
-		l.tap(rec, false)
-	}
-	return rec.LSN, nil
+	return l.appendLocked(rec, false), nil
 }
 
 // Force writes every buffered record to stable storage. It is the log's
@@ -405,50 +375,152 @@ func (l *Log) Force() error {
 		return ErrClosed
 	}
 	l.stats.Forces++
-	if !l.group {
-		err := l.syncLocked()
-		l.mu.Unlock()
-		return err
-	}
 	if len(l.buffer) == 0 {
 		l.mu.Unlock()
 		return nil
 	}
-	w := newGCWaiter(l.nextLSN - 1)
-	l.waiters = append(l.waiters, w)
-	l.flushCond.Signal()
-	l.mu.Unlock()
-	return gcWait(w)
+	return l.barrier(l.nextLSN - 1)
 }
 
-// syncLocked writes the buffered records through to the store — the
-// physical durability barrier. The caller holds l.mu. On error the buffer
-// is left intact so a later barrier can retry.
-func (l *Log) syncLocked() error {
-	if len(l.buffer) == 0 {
-		return nil
+// AppendForce appends rec and forces the log in one call, the common forced
+// write of the protocols: a nil return means rec survives a crash.
+// Concurrent callers share physical writes; a caller alone pays exactly one
+// Store.Append on its own goroutine.
+func (l *Log) AppendForce(rec Record) (uint64, error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return 0, ErrClosed
 	}
+	lsn := l.appendLocked(rec, true)
+	l.stats.Forces++
+	if err := l.barrier(lsn); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// barrier makes every record buffered so far stable and returns the outcome
+// of the physical write that covered them. It is entered with l.mu held and
+// returns with it released; lsn is the record the caller is blocked on.
+//
+// With no write in flight the caller leads: it writes the whole buffer
+// itself. Otherwise it joins the next round and waits; when the write in
+// flight ends, one member of that round is promoted to write everything
+// buffered by then. A failed write reports its error to every caller whose
+// record it covered and leaves the records buffered, so a later barrier
+// retries them.
+func (l *Log) barrier(lsn uint64) error {
+	var r *round
+	var batch []Record
+	if l.writing || l.holds > 0 {
+		r = l.next
+		if r == nil {
+			// Buffered, so the promoting send under l.mu never blocks.
+			r = &round{wake: make(chan bool, 1)}
+			l.next = r
+		}
+		r.lsns = append(r.lsns, lsn)
+		l.mu.Unlock()
+		if lead := <-r.wake; !lead {
+			return r.err
+		}
+		batch = r.batch
+	} else {
+		batch = l.beginWriteLocked()
+		l.mu.Unlock()
+	}
+
+	var err error
+	if n := len(batch); n > 0 {
+		if err = l.store.Append(batch); err != nil {
+			err = fmt.Errorf("wal: forcing %d records: %w", n, err)
+		}
+	}
+	l.mu.Lock()
+	l.endWriteLocked(batch, err)
+	l.mu.Unlock()
+	if r != nil {
+		r.err = err
+		close(r.wake)
+	}
+	return err
+}
+
+// beginWriteLocked marks a write in flight over everything buffered and
+// returns that batch. The batch aliases the front of l.buffer, which nobody
+// modifies until endWriteLocked: appends land behind it.
+func (l *Log) beginWriteLocked() []Record {
+	l.writing = true
 	n := len(l.buffer)
-	l.stats.Syncs++
-	l.stats.Synced += uint64(n)
-	if uint64(n) > l.stats.MaxSync {
-		l.stats.MaxSync = uint64(n)
+	if n > 0 {
+		l.stats.Syncs++
+		l.stats.Synced += uint64(n)
+		if uint64(n) > l.stats.MaxSync {
+			l.stats.MaxSync = uint64(n)
+		}
 	}
-	if err := l.store.Append(l.buffer); err != nil {
-		return fmt.Errorf("wal: forcing %d records: %w", n, err)
+	return l.buffer[:n:n]
+}
+
+// endWriteLocked applies the outcome of the write of batch: on success the
+// batch moves from the buffer to the stable records. Then it wakes whoever
+// waits for the log to go idle and, unless one of them holds the barrier,
+// starts the next round.
+func (l *Log) endWriteLocked(batch []Record, err error) {
+	if n := len(batch); n > 0 && err == nil {
+		l.stable = append(growRecords(l.stable, n), batch...)
+		l.stats.Stable = uint64(len(l.stable))
+		l.buffer = l.buffer[:copy(l.buffer, l.buffer[n:])]
+		l.sinceCkpt += n
+		if l.ckptEvery > 0 && l.sinceCkpt >= l.ckptEvery && !l.ckptPending && l.ckptTrigger != nil {
+			l.ckptPending = true
+			l.ckptTrigger()
+		}
+		if l.onSync != nil {
+			l.onSync(n)
+		}
 	}
-	l.stable = append(growRecords(l.stable, n), l.buffer...)
-	l.stats.Stable = uint64(len(l.stable))
-	l.buffer = l.buffer[:0]
-	l.sinceCkpt += n
-	if l.ckptEvery > 0 && l.sinceCkpt >= l.ckptEvery && !l.ckptPending && l.ckptTrigger != nil {
-		l.ckptPending = true
-		l.ckptTrigger()
+	l.writing = false
+	l.idle.Broadcast()
+	l.startNextLocked()
+}
+
+// startNextLocked promotes one member of the pending round to leader, over
+// everything buffered right now, unless a write is in flight or held off.
+func (l *Log) startNextLocked() {
+	if l.next == nil || l.writing || l.holds > 0 {
+		return
 	}
-	if l.onSync != nil {
-		l.onSync(n)
+	r := l.next
+	l.next = nil
+	r.batch = l.beginWriteLocked()
+	r.wake <- true
+}
+
+// holdLocked waits out the write in flight and keeps the next one from
+// starting until releaseLocked: Crash, Close and the commit step of
+// Checkpoint must not touch the buffer or the store under a leader's feet.
+func (l *Log) holdLocked() {
+	l.holds++
+	for l.writing {
+		l.idle.Wait()
 	}
-	return nil
+}
+
+// releaseLocked ends a hold and lets the pending round, if any, proceed.
+func (l *Log) releaseLocked() {
+	l.holds--
+	l.startNextLocked()
+}
+
+// failNextLocked fails every caller waiting for a round with err.
+func (l *Log) failNextLocked(err error) {
+	if r := l.next; r != nil {
+		l.next = nil
+		r.err = err
+		close(r.wake)
+	}
 }
 
 // SetCheckpointTrigger arms automatic checkpointing: fire is invoked once
@@ -463,75 +535,6 @@ func (l *Log) SetCheckpointTrigger(every int, fire func()) {
 	l.ckptTrigger = fire
 }
 
-// AppendForce appends rec and forces the log in one call, the common forced
-// write of the protocols. Under group commit the caller blocks until the
-// flusher has batched its record into a physical write; the contract is
-// identical — a nil return means rec survives a crash — but concurrent
-// callers share one barrier.
-func (l *Log) AppendForce(rec Record) (uint64, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	rec.LSN = l.nextLSN
-	l.nextLSN++
-	l.buffer = append(l.buffer, rec)
-	l.stats.Appends++
-	if l.tap != nil {
-		l.tap(rec, true)
-	}
-	l.stats.Forces++
-	if !l.group {
-		err := l.syncLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		return rec.LSN, nil
-	}
-	w := newGCWaiter(rec.LSN)
-	l.waiters = append(l.waiters, w)
-	l.flushCond.Signal()
-	l.mu.Unlock()
-	if err := gcWait(w); err != nil {
-		return 0, err
-	}
-	return rec.LSN, nil
-}
-
-// StartGroupCommit switches the log into group-commit mode: forced writes
-// are coalesced by a flusher goroutine into batched store appends. Safe to
-// call once on an open log; a closed log ignores it.
-func (l *Log) StartGroupCommit() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.group || l.closed {
-		return
-	}
-	l.group = true
-	if l.flushCond == nil {
-		l.flushCond = sync.NewCond(&l.mu)
-	}
-	go l.flushLoop()
-}
-
-// StopGroupCommit returns the log to synchronous forcing and stops the
-// flusher. Pending forcing callers are failed with ErrLost — their barrier
-// never ran; their records stay buffered for a later Force. A site calls
-// this when it crashes or replaces the log, so flushers do not outlive
-// their logs. No-op when group commit is off.
-func (l *Log) StopGroupCommit() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.group {
-		return
-	}
-	l.group = false
-	l.failWaitersLocked(ErrLost)
-	l.flushCond.Broadcast()
-}
-
 // OnSync installs an observer invoked (under the log's lock — it must not
 // call back into the log) after every physical batch write, with the number
 // of records the batch made stable. Metrics collection uses it.
@@ -541,50 +544,20 @@ func (l *Log) OnSync(f func(records int)) {
 	l.onSync = f
 }
 
-// flushLoop is the group-commit flusher: it waits for forcing callers,
-// writes the entire buffer through in one batch, and wakes every waiter the
-// batch covered. Records appended lazily between barriers ride along for
-// free.
-func (l *Log) flushLoop() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		for l.group && !l.closed && len(l.waiters) == 0 {
-			l.flushCond.Wait()
-		}
-		if !l.group || l.closed {
-			return // StopGroupCommit/Close already failed the waiters
-		}
-		err := l.syncLocked()
-		// Every registered waiter's record was in the buffer just written
-		// (registration and flushing both happen under l.mu), so one answer
-		// serves them all.
-		for _, w := range l.waiters {
-			w.ch <- err
-		}
-		l.waiters = l.waiters[:0]
-	}
-}
-
-// failWaitersLocked wakes every pending forcing caller with err.
-func (l *Log) failWaitersLocked(err error) {
-	for _, w := range l.waiters {
-		w.ch <- err
-	}
-	l.waiters = l.waiters[:0]
-}
-
-// Crash simulates a site failure: every non-forced record is lost. The log
-// remains usable (recovery reads it with Records), mirroring a restart on
-// the same stable storage.
+// Crash simulates a site failure: every non-forced record is lost. A write
+// in flight completes first — those records made it to stable storage before
+// the failure. The log remains usable (recovery reads it with Records),
+// mirroring a restart on the same stable storage.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.holdLocked()
 	l.buffer = l.buffer[:0]
 	l.crashEpoch++
-	// Forcing callers still waiting on the flusher lost their records with
-	// the buffer: their force never happened.
-	l.failWaitersLocked(ErrLost)
+	// Forcing callers still waiting for a round lost their records with the
+	// buffer: their force never happened.
+	l.failNextLocked(ErrLost)
+	l.releaseLocked()
 }
 
 // Records returns the stable records in LSN order. The slice is a copy; the
@@ -624,11 +597,15 @@ func (l *Log) All() []Record {
 // garbage-collection pass uses this form, so a fully terminated run still
 // empties its logs completely).
 //
-// Against a Rewriter store the bulk of the rewrite runs with the log
-// unlocked: the live image is staged off to the side while concurrent
-// appends and forces proceed against the old image, and records forced
-// meanwhile are reconciled into the staged image at commit time. Only the
-// brief commit (suffix append, fsync, atomic rename) runs under the lock.
+// Only the brief commit runs under the log's lock. live is the caller's
+// code and may take the caller's locks — the same locks under which the
+// caller appends to this log — so it is evaluated with the log unlocked,
+// over a snapshot: a transaction's records only ever go from live to dead,
+// so a verdict that goes stale keeps a record one checkpoint longer, never
+// drops a live one. The image is staged (against a Rewriter store) off to
+// the side meanwhile; concurrent appends and forces proceed against the old
+// image, and records forced in between are carried into the new image at
+// commit time unjudged.
 func (l *Log) Checkpoint(live func(Record) bool, entries []CheckpointEntry) (int, error) {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
@@ -639,87 +616,88 @@ func (l *Log) Checkpoint(live func(Record) bool, entries []CheckpointEntry) (int
 		return 0, ErrClosed
 	}
 	epoch := l.crashEpoch
-	kept := l.stable[:0:0]
-	for _, r := range l.stable {
-		if r.Kind == KRecCheckpoint {
-			continue // superseded by this checkpoint's own snapshot
-		}
-		if live(r) {
+	// Stable records are only ever appended to (or replaced, by a checkpoint
+	// — and ckptMu is held), so this prefix can be read unlocked.
+	boundary := len(l.stable)
+	scan := l.stable[:boundary:boundary]
+	buffered := append([]Record(nil), l.buffer...)
+	l.mu.Unlock()
+
+	kept := scan[:0:0]
+	for _, r := range scan {
+		// A previous snapshot is superseded by this checkpoint's own.
+		if r.Kind != KRecCheckpoint && live(r) {
 			kept = append(kept, r)
 		}
 	}
-	boundary := len(l.stable)
-	var snap *Record
+	deadBuffered := make(map[uint64]bool, len(buffered))
+	for _, r := range buffered {
+		if !live(r) {
+			deadBuffered[r.LSN] = true
+		}
+	}
+	collected := boundary - len(kept)
+	image := cloneRecords(kept)
 	if entries != nil && (len(entries) > 0 || len(kept) > 0) {
-		r := Record{
+		l.mu.Lock()
+		snap := Record{
 			Kind: KRecCheckpoint, Role: RoleCoord, LSN: l.nextLSN,
 			Ckpt: append([]CheckpointEntry(nil), entries...),
 		}
 		l.nextLSN++
-		snap = &r
-	}
-	image := cloneRecords(kept)
-	if snap != nil {
-		image = append(image, *snap)
-	}
-
-	rw, twoPhase := l.store.(Rewriter)
-	var pending PendingRewrite
-	if twoPhase {
-		// Stage the image outside l.mu: this is the disk-heavy half, and
-		// concurrent AppendForce must not stall behind it (they append to
-		// the old image; the suffix is reconciled below).
 		l.mu.Unlock()
-		var err error
-		pending, err = rw.BeginRewrite(image)
-		l.mu.Lock()
-		if err != nil {
-			l.mu.Unlock()
-			return 0, fmt.Errorf("wal: checkpoint rewrite: %w", err)
-		}
-		if l.closed || l.crashEpoch != epoch {
-			closed := l.closed
-			l.mu.Unlock()
-			pending.Abort()
-			if closed {
-				return 0, ErrClosed
-			}
-			return 0, ErrCheckpointAborted
-		}
-		// Records forced while the image was being staged live only in the
-		// old image; carry them over before the switch.
-		if err := pending.Commit(cloneRecords(l.stable[boundary:])); err != nil {
-			l.mu.Unlock()
-			return 0, fmt.Errorf("wal: checkpoint rewrite: %w", err)
-		}
-	} else {
-		if err := l.store.Rewrite(image); err != nil {
-			l.mu.Unlock()
+		kept = append(kept, snap)
+		image = append(image, snap)
+	}
+	var pending PendingRewrite // nil against a store without two-phase rewrite
+	var err error
+	if rw, ok := l.store.(Rewriter); ok {
+		// The disk-heavy half: concurrent AppendForce must not stall behind
+		// it (they append to the old image; the suffix is reconciled below).
+		if pending, err = rw.BeginRewrite(image); err != nil {
 			return 0, fmt.Errorf("wal: checkpoint rewrite: %w", err)
 		}
 	}
 
-	newStable := kept
-	if snap != nil {
-		newStable = append(newStable, *snap)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.holdLocked()
+	defer l.releaseLocked()
+	if l.closed || l.crashEpoch != epoch {
+		if pending != nil {
+			pending.Abort()
+		}
+		if l.closed {
+			return 0, ErrClosed
+		}
+		return 0, ErrCheckpointAborted
 	}
-	newStable = append(newStable, l.stable[boundary:]...)
+	// Records forced since the snapshot live only in the old image; carry
+	// them over with the switch.
+	suffix := l.stable[boundary:]
+	if pending != nil {
+		err = pending.Commit(cloneRecords(suffix))
+	} else {
+		err = l.store.Rewrite(append(image, suffix...))
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: checkpoint rewrite: %w", err)
+	}
+
 	keptBuf := l.buffer[:0:0]
 	for _, r := range l.buffer {
-		if live(r) || l.awaitedLocked(r.LSN) {
-			// A record a forcing caller is still blocked on is never
-			// collected: the flusher owes it a barrier.
-			keptBuf = append(keptBuf, r)
+		if deadBuffered[r.LSN] && !l.awaitedLocked(r.LSN) {
+			collected++
+			continue
 		}
+		keptBuf = append(keptBuf, r)
 	}
-	collected := (boundary - len(kept)) + (len(l.buffer) - len(keptBuf))
-	l.stable = newStable
+	l.stable = append(kept, suffix...)
 	l.buffer = keptBuf
 	l.stats.Stable = uint64(len(l.stable))
 	l.stats.Checkpoints++
 	l.sinceCkpt = 0
 	l.ckptPending = false
-	l.mu.Unlock()
 	return collected, nil
 }
 
@@ -750,10 +728,15 @@ func ProtocolRecords(recs []Record) int {
 	return n
 }
 
-// awaitedLocked reports whether a forcing caller is blocked on lsn.
+// awaitedLocked reports whether a forcing caller is blocked on lsn: such a
+// record is owed a barrier and is never collected. With no write in flight
+// (Checkpoint holds the barrier) those callers are the pending round.
 func (l *Log) awaitedLocked(lsn uint64) bool {
-	for _, w := range l.waiters {
-		if w.lsn == lsn {
+	if l.next == nil {
+		return false
+	}
+	for _, w := range l.next.lsns {
+		if w == lsn {
 			return true
 		}
 	}
@@ -769,19 +752,19 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Close closes the log and its store. Buffered records are discarded, as in
-// a crash; callers that want them stable must Force first.
+// Close closes the log and its store, after the write in flight (if any)
+// completes. Buffered records are discarded, as in a crash; callers that
+// want them stable must Force first.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.holdLocked()
+	defer l.releaseLocked()
 	if l.closed {
 		return nil
 	}
 	l.closed = true
 	l.buffer = nil
-	l.failWaitersLocked(ErrClosed)
-	if l.flushCond != nil {
-		l.flushCond.Broadcast()
-	}
+	l.failNextLocked(ErrClosed)
 	return l.store.Close()
 }
