@@ -24,8 +24,10 @@ race:
 
 # Seeded chaos sweep: random fault plans over a mixed cluster under PrAny
 # must converge to operational correctness, and the theorem-signal plan
-# must reproduce the U2PC/C2PC failures. -short keeps it to a few seeds;
-# `go run ./cmd/prany-chaos` runs the full-length version.
+# must reproduce the U2PC/C2PC failures, and the force-edge crash points
+# and WAL failures must land inside delivery batches under concurrent
+# clients. -short keeps it to a few seeds; `go run ./cmd/prany-chaos` runs
+# the full-length version.
 chaos:
 	$(GO) test -race -short -run 'TestChaos' ./internal/experiments/
 
@@ -86,13 +88,15 @@ byz-smoke:
 tier1: build test vet race chaos examples bench-smoke bench-check obs-smoke recovery-smoke consensus-smoke byz-smoke
 
 # cover enforces the per-package statement-coverage floors recorded in
-# coverage.floors and the per-benchmark allocation ceilings in
-# alloc.floors; `make cover` fails if any listed package regresses.
+# coverage.floors and the per-benchmark allocation (and, where given, time)
+# ceilings in alloc.floors; `make cover` fails if any listed package
+# regresses.
 cover:
 	./scripts/cover.sh
 	./scripts/allocs.sh
 
-# allocs runs just the allocation-ceiling gate (the zero-alloc wire path).
+# allocs runs just the benchmark-ceiling gate (the zero-alloc wire path, the
+# participant's prepare/decision path inline and staged).
 allocs:
 	./scripts/allocs.sh
 

@@ -37,12 +37,10 @@ type Acceptor struct {
 
 	mu   sync.Mutex
 	txns map[wire.TxnID]*atxn
-	// idleTicks counts consecutive Ticks that found an undecided transaction
-	// with no takeover in progress — accepted state this replica holds while
-	// nothing drives it forward (it synced from peers before they learned the
-	// outcome, say). Every couple of idle ticks the acceptor re-requests a
-	// peer sync; a peer that has since decided answers with the tombstone.
-	idleTicks int
+	// open is the undecided part of txns. Tombstones are kept forever, so
+	// what runs on a timer or in a poll (Tick, Quiesced, Pending) walks open
+	// and costs the same however long the site has been up.
+	open map[wire.TxnID]*atxn
 }
 
 // atxn is one transaction's acceptor state: the shared promise ballot, the
@@ -56,6 +54,14 @@ type atxn struct {
 	decided  bool
 	outcome  wire.Outcome
 	lead     *lead
+	// idleTicks counts the Ticks that found this transaction undecided with
+	// no takeover in progress — accepted state this replica holds while
+	// nothing drives it forward (it synced from peers before they learned the
+	// outcome, say). Every couple of them the acceptor re-requests a peer
+	// sync; a peer that has since decided answers with the tombstone. Counted
+	// per transaction: under load every Tick finds transactions in flight,
+	// each a different one and none of them stuck.
+	idleTicks int
 	// inquirers are the blocked participants owed a decision once one is
 	// known.
 	inquirers []wire.SiteID
@@ -95,6 +101,7 @@ func NewAcceptor(env core.Env, all []wire.SiteID) *Acceptor {
 		slot:   slot,
 		quorum: Quorum(len(all)),
 		txns:   make(map[wire.TxnID]*atxn),
+		open:   make(map[wire.TxnID]*atxn),
 	}
 }
 
@@ -103,8 +110,16 @@ func (a *Acceptor) get(txn wire.TxnID) *atxn {
 	if at == nil {
 		at = &atxn{insts: make(map[wire.SiteID]wire.InstanceVote)}
 		a.txns[txn] = at
+		a.open[txn] = at
 	}
 	return at
+}
+
+// decideLocked fixes at's outcome; the transaction is a tombstone from here
+// on. Caller holds a.mu.
+func (a *Acceptor) decideLocked(txn wire.TxnID, at *atxn, outcome wire.Outcome) {
+	at.decided, at.outcome = true, outcome
+	delete(a.open, txn)
 }
 
 // Handle processes one inbound message addressed to the acceptor role.
@@ -127,16 +142,14 @@ func (a *Acceptor) Handle(m wire.Message) {
 	}
 }
 
-// emit makes recs durable in order, then sends msgs. Every handler funnels
-// its effects through here so no reply can leave before the state it
-// asserts is stable — the forces are the replicated decision's durability.
-func (a *Acceptor) emit(recs []wal.Record, msgs []wire.Message) {
-	for _, rec := range recs {
-		if err := a.env.ForceRecord(rec); err != nil {
-			return // fail-stop: nothing below may leave the site either
-		}
-	}
-	a.env.FanoutMsgs(msgs)
+// emit makes recs durable in order, then sends msgs — or nothing, if the
+// force fails. Every handler funnels its effects through here so no reply can
+// leave before the state it asserts is stable — the forces are the replicated
+// decision's durability. rx and txn come from the message being handled (Tick
+// has none): when it arrived inside a delivery batch the force is the
+// batch's, shared with whatever else arrived with it.
+func (a *Acceptor) emit(rx *wire.Delivery, txn wire.TxnID, recs []wal.Record, msgs []wire.Message) {
+	a.env.ForceThenSend(rx, txn, recs, msgs)
 }
 
 // acceptLocked applies one accept (ballot, values, roster) to at and
@@ -189,8 +202,7 @@ func (a *Acceptor) voteInfosLocked(at *atxn) []wal.VoteInfo {
 // returns the durable tombstone record plus the decision messages owed to
 // blocked inquirers. Caller holds a.mu.
 func (a *Acceptor) tombstoneLocked(txn wire.TxnID, at *atxn, outcome wire.Outcome) ([]wal.Record, []wire.Message) {
-	at.decided = true
-	at.outcome = outcome
+	a.decideLocked(txn, at, outcome)
 	at.lead = nil
 	kind := wal.KAbort
 	if outcome == wire.Commit {
@@ -230,7 +242,7 @@ func (a *Acceptor) handleAccept(m wire.Message) {
 		Ballot: m.Ballot, Insts: a.snapshotLocked(at),
 	}
 	a.mu.Unlock()
-	a.emit([]wal.Record{rec}, []wire.Message{reply})
+	a.emit(m.Rx, m.Txn, []wal.Record{rec}, []wire.Message{reply})
 }
 
 // handlePhase1a serves a takeover leader's prepare: promise the ballot if
@@ -264,7 +276,7 @@ func (a *Acceptor) handlePhase1a(m wire.Message) {
 		Roster: append([]wire.RosterEntry(nil), at.roster...),
 	}
 	a.mu.Unlock()
-	a.emit(recs, []wire.Message{reply})
+	a.emit(m.Rx, m.Txn, recs, []wire.Message{reply})
 }
 
 // decidedReplyLocked answers any phase message about a decided transaction
@@ -308,7 +320,7 @@ func (a *Acceptor) handleInquiry(m wire.Message) {
 		recs, msgs = a.startTakeoverLocked(m.Txn, at, 1)
 	}
 	a.mu.Unlock()
-	a.emit(recs, msgs)
+	a.emit(m.Rx, m.Txn, recs, msgs)
 }
 
 // startTakeoverLocked opens a takeover round at this acceptor's slot for
@@ -407,7 +419,7 @@ func (a *Acceptor) handleLeadReply(m wire.Message) {
 	if m.Decided {
 		recs, msgs := a.tombstoneLocked(m.Txn, at, m.Outcome)
 		a.mu.Unlock()
-		a.emit(recs, msgs)
+		a.emit(m.Rx, m.Txn, recs, msgs)
 		return
 	}
 	ld := at.lead
@@ -423,7 +435,7 @@ func (a *Acceptor) handleLeadReply(m wire.Message) {
 	}
 	recs, msgs := a.leadAdvanceLocked(m.Txn, at)
 	a.mu.Unlock()
-	a.emit(recs, msgs)
+	a.emit(m.Rx, m.Txn, recs, msgs)
 }
 
 // handleEnd collapses the transaction to its decided tombstone: the
@@ -437,10 +449,9 @@ func (a *Acceptor) handleEnd(m wire.Message) {
 		return
 	}
 	recs, msgs := a.tombstoneLocked(m.Txn, at, m.Outcome)
-	at.insts = make(map[wire.SiteID]wire.InstanceVote)
-	at.order = nil
+	at.insts, at.order, at.roster = nil, nil, nil
 	a.mu.Unlock()
-	a.emit(recs, msgs)
+	a.emit(m.Rx, m.Txn, recs, msgs)
 }
 
 // handleSyncRequest serves a rebooting peer the state-transfer artifact:
@@ -450,7 +461,7 @@ func (a *Acceptor) handleEnd(m wire.Message) {
 // roster (see CheckpointEntries).
 func (a *Acceptor) handleSyncRequest(m wire.Message) {
 	a.mu.Lock()
-	txns := a.sortedTxnsLocked()
+	txns := sortedTxns(a.txns)
 	var msgs []wire.Message
 	for _, txn := range txns {
 		at := a.txns[txn]
@@ -483,7 +494,7 @@ func (a *Acceptor) handleSyncState(m wire.Message) {
 	if m.Decided {
 		recs, msgs := a.tombstoneLocked(m.Txn, at, m.Outcome)
 		a.mu.Unlock()
-		a.emit(recs, msgs)
+		a.emit(m.Rx, m.Txn, recs, msgs)
 		return
 	}
 	changed := false
@@ -514,7 +525,7 @@ func (a *Acceptor) handleSyncState(m wire.Message) {
 		Ballot: at.promised, Votes: a.voteInfosLocked(at), Participants: rosterInfo(at.roster),
 	}
 	a.mu.Unlock()
-	a.emit([]wal.Record{rec}, nil)
+	a.emit(m.Rx, m.Txn, []wal.Record{rec}, nil)
 }
 
 // Recover rebuilds acceptor state from the stable log — the checkpointed
@@ -551,9 +562,9 @@ func (a *Acceptor) Recover() error {
 				}
 			}
 		case wal.KCommit:
-			at.decided, at.outcome = true, wire.Commit
+			a.decideLocked(rec.Txn, at, wire.Commit)
 		case wal.KAbort:
-			at.decided, at.outcome = true, wire.Abort
+			a.decideLocked(rec.Txn, at, wire.Abort)
 		}
 	}
 	msgs := make([]wire.Message, 0, len(a.peers))
@@ -574,14 +585,14 @@ func (a *Acceptor) Tick() {
 	var recs []wal.Record
 	var msgs []wire.Message
 	idle := false
-	for _, txn := range a.sortedTxnsLocked() {
-		at := a.txns[txn]
+	for _, txn := range sortedTxns(a.open) {
+		at := a.open[txn]
 		ld := at.lead
-		if at.decided {
-			continue
-		}
 		if ld == nil {
-			idle = true
+			if at.idleTicks++; at.idleTicks >= 2 {
+				at.idleTicks = 0
+				idle = true
+			}
 			continue
 		}
 		ld.stall++
@@ -615,18 +626,12 @@ func (a *Acceptor) Tick() {
 		}
 	}
 	if idle {
-		a.idleTicks++
-		if a.idleTicks >= 2 {
-			a.idleTicks = 0
-			for _, id := range a.peers {
-				msgs = append(msgs, wire.Message{Kind: wire.MsgSyncRequest, From: a.env.ID, To: id})
-			}
+		for _, id := range a.peers {
+			msgs = append(msgs, wire.Message{Kind: wire.MsgSyncRequest, From: a.env.ID, To: id})
 		}
-	} else {
-		a.idleTicks = 0
 	}
 	a.mu.Unlock()
-	a.emit(recs, msgs)
+	a.emit(nil, wire.TxnID{}, recs, msgs)
 }
 
 // Quiesced reports whether every known transaction is decided: tombstones
@@ -634,25 +639,14 @@ func (a *Acceptor) Tick() {
 func (a *Acceptor) Quiesced() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, at := range a.txns {
-		if !at.decided {
-			return false
-		}
-	}
-	return true
+	return len(a.open) == 0
 }
 
 // Pending returns the number of undecided transactions (tests).
 func (a *Acceptor) Pending() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for _, at := range a.txns {
-		if !at.decided {
-			n++
-		}
-	}
-	return n
+	return len(a.open)
 }
 
 // DecidedTxns returns the decided transactions (the permanent tombstones),
@@ -661,7 +655,7 @@ func (a *Acceptor) DecidedTxns() []wire.TxnID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var out []wire.TxnID
-	for _, txn := range a.sortedTxnsLocked() {
+	for _, txn := range sortedTxns(a.txns) {
 		if a.txns[txn].decided {
 			out = append(out, txn)
 		}
@@ -707,7 +701,7 @@ func (a *Acceptor) CheckpointEntries() []wal.CheckpointEntry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]wal.CheckpointEntry, 0, len(a.txns))
-	for _, txn := range a.sortedTxnsLocked() {
+	for _, txn := range sortedTxns(a.txns) {
 		at := a.txns[txn]
 		e := wal.CheckpointEntry{Txn: txn, Role: wal.RoleAcceptor, Phase: wal.CkptVoting}
 		if at.decided {
@@ -725,7 +719,7 @@ func (a *Acceptor) DebugState() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var rows []string
-	for _, txn := range a.sortedTxnsLocked() {
+	for _, txn := range sortedTxns(a.txns) {
 		at := a.txns[txn]
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s decided=%v out=%s prom=%d insts=[%s] inq=%d",
@@ -739,11 +733,21 @@ func (a *Acceptor) DebugState() string {
 	return strings.Join(rows, "\n")
 }
 
-func (a *Acceptor) sortedTxnsLocked() []wire.TxnID {
-	out := make([]wire.TxnID, 0, len(a.txns))
-	for txn := range a.txns {
-		out = append(out, txn)
+// sortedTxns returns the keys of txns in the order of their "coord:seq"
+// rendering, each rendered once.
+func sortedTxns(txns map[wire.TxnID]*atxn) []wire.TxnID {
+	type keyed struct {
+		key string
+		txn wire.TxnID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	ks := make([]keyed, 0, len(txns))
+	for txn := range txns {
+		ks = append(ks, keyed{txn.String(), txn})
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]wire.TxnID, len(ks))
+	for i := range ks {
+		out[i] = ks[i].txn
+	}
 	return out
 }

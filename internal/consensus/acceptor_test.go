@@ -423,3 +423,63 @@ func TestAcceptorRecoverKeepsPerInstanceBallots(t *testing.T) {
 		}
 	}
 }
+
+// Tick runs on a timer for as long as the site is up, and tombstones are
+// never forgotten: what a Tick costs and does must depend on the undecided
+// transactions only.
+func TestAcceptorTickLooksAtOpenTransactionsOnly(t *testing.T) {
+	a, sink := testAcceptor(t, "a1")
+	end := func(txn wire.TxnID) {
+		a.Handle(wire.Message{Kind: wire.MsgPaxosEnd, Txn: txn, From: "coord", Outcome: wire.Commit})
+	}
+	for seq := uint64(1); seq <= 2000; seq++ {
+		txn := wire.TxnID{Coord: "coord", Seq: seq}
+		a.Handle(voteForward(txn))
+		end(txn)
+	}
+	sink.take()
+	if !a.Quiesced() || a.Pending() != 0 || len(a.DecidedTxns()) != 2000 {
+		t.Fatalf("quiesced=%v pending=%d decided=%d", a.Quiesced(), a.Pending(), len(a.DecidedTxns()))
+	}
+	if n := testing.AllocsPerRun(10, a.Tick); n > 4 {
+		t.Fatalf("a Tick over 2000 tombstones and nothing open allocates %.0f times", n)
+	}
+	if msgs := sink.take(); len(msgs) != 0 {
+		t.Fatalf("a Tick with nothing open sent %v", msgs)
+	}
+
+	// Under load every Tick finds some transaction in flight, each time
+	// another one: none is stuck, so no peer is asked for its whole image.
+	for seq := uint64(3001); seq <= 3006; seq++ {
+		txn := wire.TxnID{Coord: "coord", Seq: seq}
+		a.Handle(voteForward(txn))
+		a.Tick()
+		end(txn)
+	}
+	if k := sink.kinds(); k[wire.MsgSyncRequest] != 0 {
+		t.Fatalf("transactions in flight taken for stuck ones: %v", k)
+	}
+	sink.take()
+
+	// One that two Ticks in a row find undecided with nothing driving it is
+	// stuck: both peers are asked, and again two Ticks later.
+	stuck := wire.TxnID{Coord: "coord", Seq: 4000}
+	a.Handle(voteForward(stuck))
+	sink.take()
+	for i, want := range []int{0, 2, 0, 2} {
+		a.Tick()
+		if k := sink.kinds(); k[wire.MsgSyncRequest] != want {
+			t.Fatalf("tick %d over a stuck transaction: %v, want %d sync requests", i+1, k, want)
+		}
+		sink.take()
+	}
+
+	// Recovery rebuilds the same split from the log.
+	reborn := NewAcceptor(a.env, testAcceptorSet)
+	if err := reborn.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if reborn.Pending() != 1 || len(reborn.DecidedTxns()) != 2006 {
+		t.Fatalf("after recovery: pending=%d decided=%d", reborn.Pending(), len(reborn.DecidedTxns()))
+	}
+}

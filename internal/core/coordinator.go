@@ -681,48 +681,69 @@ func (c *Coordinator) handleRecoverSite(m wire.Message) {
 
 func (c *Coordinator) handleVote(m wire.Message) {
 	c.env.trace(obs.Event{Kind: obs.EvVoteRecv, Txn: m.Txn, Peer: m.From, Note: m.Vote.String()})
-	sh := c.txns.lock(m.Txn)
-	ct := sh.m[m.Txn]
-	if ct == nil || ct.state != cVoting {
-		sh.mu.Unlock()
-		return // late vote for a decided or forgotten transaction
-	}
-	p := ct.parts[m.From]
-	if p == nil || p.voted {
-		sh.mu.Unlock()
+	sh, ct, p := c.openVote(m.Txn, m.From)
+	if p == nil {
 		return
 	}
-
 	if p.proto.ShipsWrites() && m.Vote == wire.VoteYes {
 		// Coordinator log: the participant's write set must be stable
 		// *here* before its yes vote counts — this log is the
-		// participant's only memory.
+		// participant's only memory. The handler ends at the force;
+		// voteLogged counts the vote, now or when the delivery batch is
+		// flushed.
 		sh.mu.Unlock()
-		if err := c.env.force(wal.Record{
-			Kind: wal.KRemoteWrites, Role: wal.RoleCoord, Txn: m.Txn,
-			Coord: m.From, Writes: m.Writes,
-		}); err != nil {
-			return // vote uncounted; the timeout will abort
-		}
-		sh = c.txns.lock(m.Txn)
-		// Re-validate: the transaction may have been decided (timeout
-		// abort) while the force ran.
-		if ct = sh.m[m.Txn]; ct == nil || ct.state != cVoting {
-			sh.mu.Unlock()
-			return
-		}
-		if p = ct.parts[m.From]; p == nil || p.voted {
-			sh.mu.Unlock()
-			return
-		}
-		p.writes = m.Writes
+		c.env.forceThen(m.Rx,
+			staged{op: opVoteLogged, c: c, txn: m.Txn, peer: m.From, writes: m.Writes},
+			wal.Record{Kind: wal.KRemoteWrites, Role: wal.RoleCoord, Txn: m.Txn, Coord: m.From, Writes: m.Writes})
+		return
 	}
+	countVoteLocked(ct, p, m.Vote)
+	sh.mu.Unlock()
+}
 
+// openVote returns from's entry in txn's voting round with the shard locked,
+// or a nil entry (and nothing locked) when the vote no longer counts: the
+// transaction is decided or forgotten, or from already voted.
+func (c *Coordinator) openVote(txn wire.TxnID, from wire.SiteID) (*tableShard[*ctxn], *ctxn, *cpart) {
+	sh := c.txns.lock(txn)
+	ct := sh.m[txn]
+	if ct == nil || ct.state != cVoting {
+		sh.mu.Unlock()
+		return nil, nil, nil // late vote for a decided or forgotten transaction
+	}
+	p := ct.parts[from]
+	if p == nil || p.voted {
+		sh.mu.Unlock()
+		return nil, nil, nil
+	}
+	return sh, ct, p
+}
+
+// countVoteLocked records p's vote and ends the voting phase if it was the
+// last one needed. Caller holds the transaction's shard lock.
+func countVoteLocked(ct *ctxn, p *cpart, v wire.Vote) {
 	p.voted = true
-	p.vote = m.Vote
+	p.vote = v
 	if ct.allVotesIn() {
 		ct.closeVotes()
 	}
+}
+
+// voteLogged is the second half of handleVote for a coordinator-log yes
+// vote: err is the outcome of the force that covered the remote-writes
+// record.
+func (c *Coordinator) voteLogged(txn wire.TxnID, from wire.SiteID, writes []wal.Update, err error) {
+	if err != nil {
+		return // vote uncounted; the timeout will abort
+	}
+	// Re-validate: the transaction may have been decided (timeout abort)
+	// while the force ran.
+	sh, ct, p := c.openVote(txn, from)
+	if p == nil {
+		return
+	}
+	p.writes = writes
+	countVoteLocked(ct, p, wire.VoteYes)
 	sh.mu.Unlock()
 }
 

@@ -104,23 +104,30 @@ func (e *Env) serial() bool { return e.Sched != nil && e.Sched.Serial() }
 
 func (e *Env) dead() bool { return e.Dead != nil && e.Dead.Load() }
 
-// force appends rec and forces the log, recording the cost, the force-span
-// latency (its duration includes the wait for a shared barrier), and — when tracing
-// — the force trace event.
-func (e *Env) force(rec wal.Record) error {
+// force appends rec and forces the log: a batch of one.
+func (e *Env) force(rec wal.Record) error { return e.forceAll([]wal.Record{rec}) }
+
+// forceAll appends recs in order and forces the log once for all of them.
+// Each record is one forced write of its protocol: the cost, the force-span
+// latency (its duration includes the wait for a shared barrier) and — when
+// tracing — the force trace event are recorded per record, so the logical
+// counts do not depend on how many records share the physical write.
+func (e *Env) forceAll(recs []wal.Record) error {
 	if e.dead() {
 		return ErrSiteDown
 	}
 	start := e.now()
-	_, err := e.Log.AppendForce(rec)
-	if e.Met != nil {
-		e.Met.Append(e.ID)
-		e.Met.Force(e.ID)
+	err := e.Log.AppendForceAll(recs)
+	for i := range recs {
+		if e.Met != nil {
+			e.Met.Append(e.ID)
+			e.Met.Force(e.ID)
+		}
+		e.observe(metrics.SpanWALForce, start)
+		e.traceSpan(obs.Event{
+			Kind: obs.EvForce, Txn: recs[i].Txn, Note: recs[i].Kind.String(),
+		}, start)
 	}
-	e.observe(metrics.SpanWALForce, start)
-	e.traceSpan(obs.Event{
-		Kind: obs.EvForce, Txn: rec.Txn, Note: rec.Kind.String(),
-	}, start)
 	return err
 }
 
@@ -194,9 +201,6 @@ func (e *Env) event(ev history.Event) {
 // package (internal/consensus) the same logging, sending and scheduling
 // discipline the engines use — costs recorded, fail-stop respected — without
 // exporting the raw hooks.
-
-// ForceRecord appends rec and forces the log, with force-cost accounting.
-func (e *Env) ForceRecord(rec wal.Record) error { return e.force(rec) }
 
 // AppendRecord appends rec without forcing, with append-cost accounting.
 func (e *Env) AppendRecord(rec wal.Record) error { return e.appendLazy(rec) }

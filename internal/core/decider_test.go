@@ -104,8 +104,12 @@ func TestEnvDeciderHooks(t *testing.T) {
 		Dead: &atomic.Bool{},
 	}
 	txn := wire.TxnID{Coord: "coord", Seq: 1}
-	if err := env.ForceRecord(wal.Record{Kind: wal.KPaxosAccept, Role: wal.RoleAcceptor, Txn: txn}); err != nil {
-		t.Fatal(err)
+	// The acceptor's funnel: the record is stable before the reply leaves.
+	env.ForceThenSend(nil, txn,
+		[]wal.Record{{Kind: wal.KPaxosAccept, Role: wal.RoleAcceptor, Txn: txn}},
+		[]wire.Message{{Kind: wire.MsgPhase2b, Txn: txn, From: "a1", To: "coord"}})
+	if len(log.Records()) != 1 || len(sent) != 1 {
+		t.Fatalf("want 1 stable record and 1 reply, got %d and %v", len(log.Records()), sent)
 	}
 	if err := env.AppendRecord(wal.Record{Kind: wal.KEnd, Role: wal.RoleAcceptor, Txn: txn}); err != nil {
 		t.Fatal(err)
@@ -119,6 +123,7 @@ func TestEnvDeciderHooks(t *testing.T) {
 		{Kind: wire.MsgPaxosEnd, Txn: txn, From: "a1", To: "a3"},
 		{Kind: wire.MsgPaxosEnd, Txn: txn, From: "a1", To: "a2"},
 	})
+	sent = sent[1:] // the funnel's reply, checked above
 	if len(sent) != 3 || sent[1].To != "a2" || sent[2].To != "a3" {
 		t.Fatalf("fan-out must sort by destination: %v", sent)
 	}
@@ -138,8 +143,11 @@ func TestEnvDeciderHooks(t *testing.T) {
 
 	// Fail-stop discipline: a dead site neither logs nor sends nor records.
 	env.Dead.Store(true)
-	if err := env.ForceRecord(wal.Record{Kind: wal.KPaxosAccept, Role: wal.RoleAcceptor, Txn: txn}); err == nil {
-		t.Fatal("a dead site must refuse to force")
+	env.ForceThenSend(nil, txn,
+		[]wal.Record{{Kind: wal.KPaxosAccept, Role: wal.RoleAcceptor, Txn: txn}},
+		[]wire.Message{{Kind: wire.MsgPhase2b, Txn: txn, From: "a1", To: "coord"}})
+	if n := len(log.All()); n != 2 {
+		t.Fatalf("a dead site must refuse to force, log holds %d records", n)
 	}
 	env.SendMsg(wire.Message{Kind: wire.MsgPhase2b, Txn: txn, From: "a1", To: "coord"})
 	if len(sent) != 3 {

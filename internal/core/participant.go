@@ -188,7 +188,9 @@ func (p *Participant) handleExec(m wire.Message) {
 	// same message stream — so operations run on their own goroutine, the
 	// participant's worker thread, never on the delivery loop. A serial
 	// scheduler (the model checker) promises conflict-free workloads and
-	// takes the execution inline for determinism.
+	// takes the execution inline for determinism. The delivery handle stays
+	// behind with the delivery goroutine that owns it.
+	m.Rx = nil
 	if p.env.serial() {
 		p.execute(m)
 		return
@@ -254,14 +256,14 @@ func (p *Participant) handlePrepare(m wire.Message) {
 		sh.mu.Unlock()
 		// Duplicate prepare (retry after a lost vote): re-vote yes,
 		// re-shipping the write set under coordinator log.
-		p.vote(m, wire.VoteYes, shipped)
+		p.vote(m.Txn, m.From, wire.VoteYes, shipped)
 		return
 	}
 	if t == nil {
 		// No subtransaction executed here (or it already aborted after an
 		// execution failure): vote no.
 		sh.mu.Unlock()
-		p.vote(m, wire.VoteNo, nil)
+		p.vote(m.Txn, m.From, wire.VoteNo, nil)
 		return
 	}
 	t.coord = m.From
@@ -271,7 +273,7 @@ func (p *Participant) handlePrepare(m wire.Message) {
 	if err != nil {
 		p.rm.Abort(m.Txn)
 		p.dropTxn(m.Txn)
-		p.vote(m, wire.VoteNo, nil)
+		p.vote(m.Txn, m.From, wire.VoteNo, nil)
 		return
 	}
 	if readOnly && p.readOnlyOpt {
@@ -279,7 +281,7 @@ func (p *Participant) handlePrepare(m wire.Message) {
 		// the participant takes no part in the decision phase.
 		p.rm.Abort(m.Txn)
 		p.dropTxn(m.Txn)
-		p.vote(m, wire.VoteReadOnly, nil)
+		p.vote(m.Txn, m.From, wire.VoteReadOnly, nil)
 		p.env.event(history.Event{Kind: history.EvForget, Txn: m.Txn})
 		p.env.trace(obs.Event{Kind: obs.EvForget, Txn: m.Txn, Note: "read-only"})
 		return
@@ -293,32 +295,39 @@ func (p *Participant) handlePrepare(m wire.Message) {
 		t.state = pPrepared
 		t.writes = writes
 		sh.mu.Unlock()
-		p.vote(m, wire.VoteYes, writes)
+		p.vote(m.Txn, m.From, wire.VoteYes, writes)
 		return
 	}
 
 	// The prepared record is forced before the yes vote: the promise must
 	// survive a crash. It carries the coordinator's identity (where to
-	// inquire) and the undo/redo images.
-	if err := p.env.force(wal.Record{
-		Kind: wal.KPrepared, Role: wal.RolePart, Txn: m.Txn, Coord: m.From, Writes: writes,
-	}); err != nil {
+	// inquire) and the undo/redo images. The handler ends at the force; the
+	// vote is prepared's business, now or when the delivery batch is flushed.
+	p.env.forceThen(m.Rx,
+		staged{op: opPrepared, p: p, t: t, txn: m.Txn, peer: m.From},
+		wal.Record{Kind: wal.KPrepared, Role: wal.RolePart, Txn: m.Txn, Coord: m.From, Writes: writes})
+}
+
+// prepared is the second half of handlePrepare: err is the outcome of the
+// force that covered txn's prepared record.
+func (p *Participant) prepared(txn wire.TxnID, coord wire.SiteID, t *ptxn, err error) {
+	if err != nil {
 		// Cannot make the promise durable: abort instead of voting yes.
 		// The failed force may still leave the prepared record in the log
 		// buffer, where a later transaction's successful force would
 		// stabilize it — an orphan promise recovery would resurrect in
 		// doubt (and a PrC presumption would then wrongly commit). A lazy
 		// abort record supersedes it.
-		p.env.appendLazy(wal.Record{Kind: wal.KAbort, Role: wal.RolePart, Txn: m.Txn})
-		p.rm.Abort(m.Txn)
-		p.dropTxn(m.Txn)
-		p.vote(m, wire.VoteNo, nil)
+		p.env.appendLazy(wal.Record{Kind: wal.KAbort, Role: wal.RolePart, Txn: txn})
+		p.rm.Abort(txn)
+		p.dropTxn(txn)
+		p.vote(txn, coord, wire.VoteNo, nil)
 		return
 	}
-	sh = p.txns.lock(m.Txn)
+	sh := p.txns.lock(txn)
 	t.state = pPrepared
 	sh.mu.Unlock()
-	p.vote(m, wire.VoteYes, nil)
+	p.vote(txn, coord, wire.VoteYes, nil)
 }
 
 // dropTxn removes txn from the protocol table.
@@ -328,15 +337,15 @@ func (p *Participant) dropTxn(txn wire.TxnID) {
 	sh.mu.Unlock()
 }
 
-func (p *Participant) vote(m wire.Message, v wire.Vote, shipped []wal.Update) {
+func (p *Participant) vote(txn wire.TxnID, coord wire.SiteID, v wire.Vote, shipped []wal.Update) {
 	if v == wire.VoteNo {
 		// A no-voter aborts unilaterally; it neither logs nor remembers.
-		p.rm.Abort(m.Txn)
+		p.rm.Abort(txn)
 	}
-	p.env.event(history.Event{Kind: history.EvVote, Txn: m.Txn, Vote: v})
-	p.env.trace(obs.Event{Kind: obs.EvVote, Txn: m.Txn, Peer: m.From, Note: v.String()})
+	p.env.event(history.Event{Kind: history.EvVote, Txn: txn, Vote: v})
+	p.env.trace(obs.Event{Kind: obs.EvVote, Txn: txn, Peer: coord, Note: v.String()})
 	p.env.send(wire.Message{
-		Kind: wire.MsgVote, Txn: m.Txn, From: p.env.ID, To: m.From,
+		Kind: wire.MsgVote, Txn: txn, From: p.env.ID, To: coord,
 		Vote: v, Proto: p.proto, Writes: shipped,
 	})
 }
@@ -375,7 +384,7 @@ func (p *Participant) handleDecision(m wire.Message) {
 					p.enforceCL(m, start)
 					return
 				}
-				p.ack(m)
+				p.ack(m.Txn, m.From, m.Outcome)
 				return
 			}
 			// A commit always has logged images at the coordinator (a CL
@@ -385,7 +394,7 @@ func (p *Participant) handleDecision(m wire.Message) {
 			})
 			return
 		}
-		p.ack(m)
+		p.ack(m.Txn, m.From, m.Outcome)
 		return
 	}
 	wasPrepared := t.state == pPrepared
@@ -408,35 +417,48 @@ func (p *Participant) handleDecision(m wire.Message) {
 		if p.proto.Acks(m.Outcome) {
 			// The decision record is forced before the acknowledgment:
 			// once the coordinator hears the ack it may forget, so the
-			// participant can never again ask. If the force fails the
-			// decision is not durable and must not be acknowledged —
-			// the subtransaction stays prepared and the coordinator's
-			// re-send (or a post-crash inquiry) retries the enforcement.
-			if err := p.env.force(rec); err != nil {
-				sh := p.txns.lock(m.Txn)
-				if sh.m[m.Txn] == nil {
-					sh.m[m.Txn] = &ptxn{state: pPrepared, coord: m.From, startedAt: p.env.now()}
-				}
-				sh.mu.Unlock()
-				return
-			}
-		} else {
-			_ = p.env.appendLazy(rec)
+			// participant can never again ask. The handler ends at the
+			// force; enforcing and acknowledging are decided's business, now
+			// or when the delivery batch is flushed.
+			p.env.forceThen(m.Rx,
+				staged{op: opDecided, p: p, txn: m.Txn, peer: m.From, outcome: m.Outcome, start: start},
+				rec)
+			return
 		}
+		_ = p.env.appendLazy(rec)
 	}
 	// An executing (never-prepared) subtransaction aborts without logging:
 	// it promised nothing, so there is nothing a crash could misread.
+	p.decided(m.Txn, m.From, m.Outcome, start, nil)
+}
 
-	if m.Outcome == wire.Commit {
-		p.rm.Commit(m.Txn)
-	} else {
-		p.rm.Abort(m.Txn)
+// decided is the second half of handleDecision: it enforces the decision
+// and acknowledges it. err is the outcome of the force that covered txn's
+// decision record (nil when the record needed no force). start is when the
+// decision arrived.
+func (p *Participant) decided(txn wire.TxnID, from wire.SiteID, outcome wire.Outcome, start time.Time, err error) {
+	if err != nil {
+		// If the force fails the decision is not durable and must not be
+		// acknowledged — the subtransaction stays prepared and the
+		// coordinator's re-send (or a post-crash inquiry) retries the
+		// enforcement.
+		sh := p.txns.lock(txn)
+		if sh.m[txn] == nil {
+			sh.m[txn] = &ptxn{state: pPrepared, coord: from, startedAt: p.env.now()}
+		}
+		sh.mu.Unlock()
+		return
 	}
-	p.env.event(history.Event{Kind: history.EvEnforce, Txn: m.Txn, Outcome: m.Outcome})
-	p.env.event(history.Event{Kind: history.EvForget, Txn: m.Txn})
+	if outcome == wire.Commit {
+		p.rm.Commit(txn)
+	} else {
+		p.rm.Abort(txn)
+	}
+	p.env.event(history.Event{Kind: history.EvEnforce, Txn: txn, Outcome: outcome})
+	p.env.event(history.Event{Kind: history.EvForget, Txn: txn})
 	p.env.observe(metrics.SpanDecision, start)
-	p.env.trace(obs.Event{Kind: obs.EvForget, Txn: m.Txn})
-	p.ack(m)
+	p.env.trace(obs.Event{Kind: obs.EvForget, Txn: txn})
+	p.ack(txn, from, outcome)
 }
 
 // wasEnforced reports whether the CL idempotence guard remembers txn.
@@ -470,17 +492,19 @@ func (p *Participant) enforceCL(m wire.Message, start time.Time) {
 	p.env.event(history.Event{Kind: history.EvForget, Txn: m.Txn})
 	p.env.observe(metrics.SpanDecision, start)
 	p.env.trace(obs.Event{Kind: obs.EvForget, Txn: m.Txn})
-	p.ack(m)
+	p.ack(m.Txn, m.From, m.Outcome)
 }
 
-func (p *Participant) ack(decision wire.Message) {
-	if !p.proto.Acks(decision.Outcome) {
+// ack acknowledges outcome for txn to the site the decision came from, if
+// the participant's protocol acknowledges that outcome at all.
+func (p *Participant) ack(txn wire.TxnID, to wire.SiteID, outcome wire.Outcome) {
+	if !p.proto.Acks(outcome) {
 		return
 	}
-	p.env.trace(obs.Event{Kind: obs.EvAckSend, Txn: decision.Txn, Peer: decision.From, Note: decision.Outcome.String()})
+	p.env.trace(obs.Event{Kind: obs.EvAckSend, Txn: txn, Peer: to, Note: outcome.String()})
 	p.env.send(wire.Message{
-		Kind: wire.MsgAck, Txn: decision.Txn, From: p.env.ID, To: decision.From,
-		Outcome: decision.Outcome, Proto: p.proto,
+		Kind: wire.MsgAck, Txn: txn, From: p.env.ID, To: to,
+		Outcome: outcome, Proto: p.proto,
 	})
 }
 

@@ -102,6 +102,7 @@ type Site struct {
 
 	mu      sync.Mutex
 	log     *wal.Log
+	env     *core.Env // the running incarnation's, never modified; env.Dead is dead
 	part    *core.Participant
 	coord   *core.Coordinator
 	acc     *consensus.Acceptor // nil unless this site is in cfg.Acceptors
@@ -198,6 +199,7 @@ func (s *Site) start(runRecovery bool) error {
 
 	s.mu.Lock()
 	s.log = log
+	s.env = &env
 	s.part = part
 	s.coord = coord
 	s.acc = acc
@@ -245,16 +247,34 @@ func (s *Site) start(runRecovery bool) error {
 	return nil
 }
 
-// handle dispatches an inbound message to the right role.
+// handle is the site's inbound handler: dispatch, bracketed by the delivery
+// batch's stage. A message that came off a delivery loop with more messages
+// already read behind it has its forced writes staged instead of performed —
+// the engines find the stage through m.Rx — and when the last message of the
+// batch has been dispatched the stage is flushed: one barrier for every
+// prepare and decision that arrived together (core.OpenStage has the rules).
 func (s *Site) handle(m wire.Message) {
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
 		return
 	}
-	part, coord, acc := s.part, s.coord, s.acc
+	part, coord, acc, env := s.part, s.coord, s.acc, s.env
 	s.mu.Unlock()
 
+	rx := m.Rx
+	st := core.OpenStage(rx, env, m.Txn)
+	if st == nil {
+		m.Rx = nil // force inline
+	}
+	s.dispatch(m, part, coord, acc)
+	if st != nil && !rx.More {
+		st.Flush()
+	}
+}
+
+// dispatch hands an inbound message to the right role.
+func (s *Site) dispatch(m wire.Message, part *core.Participant, coord *core.Coordinator, acc *consensus.Acceptor) {
 	switch m.Kind {
 	case wire.MsgExec, wire.MsgPrepare, wire.MsgDecision:
 		part.Handle(m)

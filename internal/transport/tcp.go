@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prany/internal/metrics"
@@ -28,16 +30,18 @@ import (
 // the last retry is dropped, which is exactly the omission-failure contract
 // the protocols are built to survive.
 type TCPNetwork struct {
-	mu       sync.Mutex
-	addrs    map[wire.SiteID]string
-	handlers map[wire.SiteID]Handler
-	links    map[string]*outLink
-	inbound  map[net.Conn]struct{}
-	ln       net.Listener
-	closed   bool
-	wg       sync.WaitGroup
-	logf     func(format string, args ...any)
-	met      *metrics.Registry
+	mu      sync.Mutex
+	addrs   map[wire.SiteID]string
+	links   map[string]*outLink
+	inbound map[net.Conn]struct{}
+	ln      net.Listener
+	wg      sync.WaitGroup
+	logf    func(format string, args ...any)
+	met     *metrics.Registry
+
+	// routes is what the per-message paths (Send, SendBatch, serveConn) read,
+	// without taking mu. It is replaced, never modified, under mu.
+	routes atomic.Pointer[routes]
 
 	dialTimeout  time.Duration
 	writeTimeout time.Duration
@@ -49,6 +53,34 @@ type TCPNetwork struct {
 	// shares it and rand.Rand is not concurrency-safe.
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
+}
+
+// routes is an immutable snapshot of where a message for a site goes: to a
+// local handler, or onto the link of an address already dialed for it. A site
+// in neither map takes the slow path through linkFor.
+type routes struct {
+	handlers map[wire.SiteID]Handler
+	links    map[wire.SiteID]*outLink
+	closed   bool
+}
+
+// publishLocked replaces the routes snapshot with a copy edited by edit.
+// Caller holds n.mu.
+func (n *TCPNetwork) publishLocked(edit func(*routes)) {
+	old := n.routes.Load()
+	next := &routes{
+		handlers: make(map[wire.SiteID]Handler, len(old.handlers)+1),
+		links:    make(map[wire.SiteID]*outLink, len(old.links)+1),
+		closed:   old.closed,
+	}
+	for id, h := range old.handlers {
+		next.handlers[id] = h
+	}
+	for id, l := range old.links {
+		next.links[id] = l
+	}
+	edit(next)
+	n.routes.Store(next)
 }
 
 // outLink is the send side of one destination address: an unbounded FIFO
@@ -120,7 +152,6 @@ type TCPOptions struct {
 func NewTCPNetwork(opts TCPOptions) (*TCPNetwork, error) {
 	n := &TCPNetwork{
 		addrs:        make(map[wire.SiteID]string, len(opts.Addrs)),
-		handlers:     make(map[wire.SiteID]Handler),
 		links:        make(map[string]*outLink),
 		inbound:      make(map[net.Conn]struct{}),
 		logf:         opts.Logf,
@@ -132,6 +163,7 @@ func NewTCPNetwork(opts TCPOptions) (*TCPNetwork, error) {
 		retryCap:     opts.RetryCap,
 		jitter:       rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	n.routes.Store(&routes{})
 	if n.logf == nil {
 		n.logf = func(string, ...any) {}
 	}
@@ -180,13 +212,15 @@ func (n *TCPNetwork) SetAddr(id wire.SiteID, addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.addrs[id] = addr
+	// The next send to id resolves its link again, against the new address.
+	n.publishLocked(func(r *routes) { delete(r.links, id) })
 }
 
 // Register implements Network.
 func (n *TCPNetwork) Register(id wire.SiteID, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.handlers[id] = h
+	n.publishLocked(func(r *routes) { r.handlers[id] = h })
 }
 
 // Send implements Network: deliver locally when the destination is hosted
@@ -194,18 +228,21 @@ func (n *TCPNetwork) Register(id wire.SiteID, h Handler) {
 // soon as the message is queued; the link's writer goroutine frames,
 // batches and writes it, so senders never block on the network.
 func (n *TCPNetwork) Send(m wire.Message) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	r := n.routes.Load()
+	if r.closed {
 		return
 	}
-	if h := n.handlers[m.To]; h != nil {
-		n.mu.Unlock()
+	// An in-process hand-over comes off no delivery loop, even when m is a
+	// received message being passed on.
+	m.Rx = nil
+	if h := r.handlers[m.To]; h != nil {
 		h(m)
 		return
 	}
-	l := n.linkLocked(m.To)
-	n.mu.Unlock()
+	l := r.links[m.To]
+	if l == nil {
+		l = n.linkFor(m.To)
+	}
 	if l == nil {
 		n.logf("transport: no address for site %s, dropping %s", m.To, m)
 		return
@@ -224,37 +261,40 @@ func (n *TCPNetwork) SendBatch(msgs []wire.Message) {
 			j++
 		}
 		run := msgs[i:j]
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
+		r := n.routes.Load()
+		if r.closed {
 			return
 		}
-		h := n.handlers[run[0].To]
-		var l *outLink
-		if h == nil {
-			l = n.linkLocked(run[0].To)
-		}
-		n.mu.Unlock()
-		switch {
-		case h != nil:
+		i = j
+		if h := r.handlers[run[0].To]; h != nil {
 			for _, m := range run {
+				m.Rx = nil
 				h(m)
 			}
-		case l != nil:
-			l.enqueueAll(run)
-		default:
-			n.logf("transport: no address for site %s, dropping %d messages", run[0].To, len(run))
+			continue
 		}
-		i = j
+		l := r.links[run[0].To]
+		if l == nil {
+			l = n.linkFor(run[0].To)
+		}
+		if l == nil {
+			n.logf("transport: no address for site %s, dropping %d messages", run[0].To, len(run))
+			continue
+		}
+		l.enqueueAll(run)
 	}
 }
 
-// linkLocked returns the link for id's address, creating it and starting
-// its writer goroutine on first use. Caller holds n.mu; returns nil when
-// the address book has no entry.
-func (n *TCPNetwork) linkLocked(id wire.SiteID) *outLink {
+// linkFor is the slow path of a send: the first message to id since the
+// network started or id's address changed. It returns the link for id's
+// address, creating it and starting its writer goroutine on first use, and
+// publishes the route so later sends find it without the lock. It returns nil
+// when the address book has no entry or the network is closed.
+func (n *TCPNetwork) linkFor(id wire.SiteID) *outLink {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	addr, ok := n.addrs[id]
-	if !ok {
+	if !ok || n.routes.Load().closed {
 		return nil
 	}
 	l := n.links[addr]
@@ -264,6 +304,7 @@ func (n *TCPNetwork) linkLocked(id wire.SiteID) *outLink {
 		n.wg.Add(1)
 		go n.runLink(l)
 	}
+	n.publishLocked(func(r *routes) { r.links[id] = l })
 	return l
 }
 
@@ -311,6 +352,15 @@ func (l *outLink) takeLocked(max int) []wire.Message {
 
 // waitBatch blocks until traffic is queued or the link closes, then claims
 // up to max messages. A nil return means the link is closed.
+//
+// A writer that had to wait yields once before it claims: the sender that
+// woke it is usually in the middle of a burst — a delivery batch's staged
+// votes, the replies of executions readied by the same batch — and the
+// scheduler runs the goroutine woken last first, so without the yield the
+// writer ships the first message of the burst alone and the rest in a second
+// frame. Yielding costs nothing on an idle process (nothing else is runnable);
+// on a busy one, whatever the goroutines already runnable wanted to send
+// rides this write too.
 func (l *outLink) waitBatch(max int) []wire.Message {
 	for {
 		l.mu.Lock()
@@ -325,6 +375,7 @@ func (l *outLink) waitBatch(max int) []wire.Message {
 		}
 		l.mu.Unlock()
 		<-l.wake
+		runtime.Gosched()
 	}
 }
 
@@ -441,11 +492,7 @@ func (n *TCPNetwork) deliverBatch(l *outLink, batch []wire.Message) {
 	}
 }
 
-func (n *TCPNetwork) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
-}
+func (n *TCPNetwork) isClosed() bool { return n.routes.Load().closed }
 
 func (l *outLink) isClosed() bool {
 	l.mu.Lock()
@@ -506,11 +553,14 @@ func (n *TCPNetwork) backoff(fails int) time.Duration {
 // from this process crashing a moment earlier.
 func (n *TCPNetwork) Close() {
 	n.mu.Lock()
-	if n.closed {
+	if n.routes.Load().closed {
 		n.mu.Unlock()
 		return
 	}
-	n.closed = true
+	n.publishLocked(func(r *routes) {
+		r.closed = true
+		r.links = nil
+	})
 	ln := n.ln
 	links := n.links
 	n.links = map[string]*outLink{}
@@ -538,7 +588,7 @@ func (n *TCPNetwork) acceptLoop() {
 			return // listener closed
 		}
 		n.mu.Lock()
-		if n.closed {
+		if n.routes.Load().closed {
 			n.mu.Unlock()
 			conn.Close()
 			return
@@ -563,24 +613,38 @@ func (n *TCPNetwork) serveConn(conn net.Conn) {
 	// buffer with interned site identifiers — the receive half of the
 	// zero-allocation path.
 	fr := wire.NewFrameReader(bufio.NewReader(conn))
-	for {
-		m, err := fr.ReadFrame()
-		if err != nil {
-			return // peer closed or garbage; drop the connection
+	// rx tells the handler, in band, what this loop already knows about the
+	// next message. A frame that is complete in the read buffer is decoded
+	// before the current one is delivered, so the hint is exact: the next
+	// call on this goroutine goes to the same site and no read stands between
+	// the two. What one read pulled off the wire is thereby a delivery batch,
+	// and a handler may stage its forced writes across it (DESIGN.md §7).
+	var rx wire.Delivery
+	m, err := fr.ReadFrame()
+	for err == nil {
+		var next wire.Message
+		ahead := fr.NextBuffered()
+		if ahead {
+			next, err = fr.ReadFrame()
 		}
-		n.mu.Lock()
-		h := n.handlers[m.To]
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
+		r := n.routes.Load()
+		if r.closed {
 			return
 		}
-		if h == nil {
+		if h := r.handlers[m.To]; h != nil {
+			rx.More = ahead && err == nil && next.To == m.To
+			m.Rx = &rx
+			h(m)
+		} else {
 			n.logf("transport: no handler for site %s, dropping %s", m.To, m)
-			continue
 		}
-		h(m)
+		if ahead {
+			m = next
+		} else {
+			m, err = fr.ReadFrame()
+		}
 	}
+	// Peer closed or garbage: drop the connection.
 }
 
 var _ Network = (*TCPNetwork)(nil)

@@ -106,22 +106,37 @@ func newMailbox(h Handler) *mailbox {
 	return m
 }
 
+// run drains the mailbox in delivery batches: everything that queued while
+// the previous batch was being handled is taken at once and delivered in
+// order, each message but the last with the More hint set — the same
+// account of "what has already arrived" that a TCP connection's read buffer
+// gives (wire.Delivery), so the in-memory network exercises a site's staged
+// forced writes the way the real one does. Messages that arrive during a
+// batch wait for the next one, which bounds how long a staged write is held.
 func (m *mailbox) run() {
+	var rx wire.Delivery
+	var batch []wire.Message
 	for {
 		m.mu.Lock()
 		for len(m.queue) == 0 && !m.closed {
 			m.cond.Wait()
 		}
-		if m.closed && len(m.queue) == 0 {
+		if len(m.queue) == 0 {
 			m.mu.Unlock()
 			return
 		}
-		msg := m.queue[0]
-		m.queue = m.queue[1:]
-		h := m.handler
+		batch, m.queue = m.queue, batch[:0]
 		m.mu.Unlock()
-		if h != nil {
-			h(msg)
+		for i := range batch {
+			m.mu.Lock()
+			h := m.handler
+			m.mu.Unlock()
+			if h != nil {
+				rx.More = i+1 < len(batch)
+				batch[i].Rx = &rx
+				h(batch[i])
+			}
+			batch[i] = wire.Message{} // the queue's spare must not pin payloads
 		}
 	}
 }

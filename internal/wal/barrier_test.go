@@ -305,20 +305,31 @@ func TestExclusiveOpsRaceInFlightWrites(t *testing.T) {
 			}
 			defer log.Close()
 
+			// Even writers force one record at a time, odd ones a delivery
+			// batch of three through AppendForceAll.
 			const writers, per = 4, 25
 			var wg sync.WaitGroup
 			var mu sync.Mutex
-			durable := map[uint64]bool{} // LSNs whose force returned nil
+			durable := map[uint64]bool{} // transactions whose force returned nil
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						lsn, err := log.AppendForce(forcedRec(uint64(w*per + i)))
+						batch := []Record{forcedRec(uint64(1 + 3*(w*per+i)))}
+						var err error
+						if w%2 == 0 {
+							_, err = log.AppendForce(batch[0])
+						} else {
+							batch = append(batch, forcedRec(batch[0].Txn.Seq+1), forcedRec(batch[0].Txn.Seq+2))
+							err = log.AppendForceAll(batch)
+						}
 						switch {
 						case err == nil:
 							mu.Lock()
-							durable[lsn] = true
+							for _, r := range batch {
+								durable[r.Txn.Seq] = true
+							}
 							mu.Unlock()
 						case errors.Is(err, ErrLost) || errors.Is(err, ErrClosed):
 						default:
@@ -347,17 +358,17 @@ func TestExclusiveOpsRaceInFlightWrites(t *testing.T) {
 			// A nil force is a promise no exclusive operation may break.
 			inStore := map[uint64]bool{}
 			for _, r := range mustLoad(t, store) {
-				inStore[r.LSN] = true
+				inStore[r.Txn.Seq] = true
 			}
-			for lsn := range durable {
-				if !inStore[lsn] {
-					t.Fatalf("LSN %d was forced successfully but is not in the store", lsn)
+			for seq := range durable {
+				if !inStore[seq] {
+					t.Fatalf("transaction %d was forced successfully but is not in the store", seq)
 				}
 			}
 			if op != "close" {
 				for _, r := range log.Records() {
-					if !inStore[r.LSN] {
-						t.Fatalf("log believes LSN %d stable, the store does not hold it", r.LSN)
+					if !inStore[r.Txn.Seq] {
+						t.Fatalf("log believes transaction %d stable, the store does not hold it", r.Txn.Seq)
 					}
 				}
 			}
@@ -424,6 +435,82 @@ func TestCheckpointKeepsRecordsCallersWaitOn(t *testing.T) {
 	}
 }
 
+// A delivery batch forced with AppendForceAll while a write is in flight
+// joins the next round as one member holding all its records: a checkpoint
+// that judges every one of them dead collects none, a crash fails the whole
+// batch with ErrLost and a close with ErrClosed.
+func TestBatchWaitingForARound(t *testing.T) {
+	for _, tc := range []struct {
+		op      string
+		wantErr error
+		stable  []uint64 // transactions in the store afterwards
+	}{
+		{"checkpoint", nil, []uint64{1, 2, 3, 4}},
+		{"crash", ErrLost, []uint64{1}},
+		{"close", ErrClosed, []uint64{1}},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			store := newGatedStore()
+			log, err := Open(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+
+			first := make(chan error, 1)
+			go func() {
+				_, err := log.AppendForce(forcedRec(1))
+				first <- err
+			}()
+			<-store.entered
+			batch := make(chan error, 1)
+			go func() { batch <- log.AppendForceAll([]Record{forcedRec(2), forcedRec(3), forcedRec(4)}) }()
+			waitFollowers(t, log, 1)
+
+			opDone := make(chan error, 1)
+			go func() {
+				switch tc.op {
+				case "checkpoint":
+					_, err := log.Checkpoint(func(Record) bool { return false }, nil)
+					opDone <- err
+				case "crash":
+					log.Crash()
+					opDone <- nil
+				case "close":
+					opDone <- log.Close()
+				}
+			}()
+			waitLog(t, log, tc.op+" to wait out the write in flight", func() bool { return log.holds > 0 })
+			store.release <- struct{}{}
+			if err := <-first; err != nil {
+				t.Fatalf("write in flight: %v", err)
+			}
+			if err := <-opDone; err != nil {
+				t.Fatalf("%s: %v", tc.op, err)
+			}
+			if tc.wantErr == nil {
+				<-store.entered // the batch's own round, after the checkpoint committed
+				store.release <- struct{}{}
+			}
+			if err := <-batch; !errors.Is(err, tc.wantErr) {
+				t.Fatalf("batch got %v, want %v", err, tc.wantErr)
+			}
+			var seqs []uint64
+			for _, r := range mustLoad(t, store) {
+				seqs = append(seqs, r.Txn.Seq)
+			}
+			if len(seqs) != len(tc.stable) {
+				t.Fatalf("store holds transactions %v, want %v", seqs, tc.stable)
+			}
+			for i := range seqs {
+				if seqs[i] != tc.stable[i] {
+					t.Fatalf("store holds transactions %v, want %v", seqs, tc.stable)
+				}
+			}
+		})
+	}
+}
+
 // goid returns the calling goroutine's id, parsed from its stack header.
 func goid() string {
 	buf := make([]byte, 32)
@@ -469,6 +556,20 @@ func TestSoloForceIsOneAppendOnTheCallersGoroutine(t *testing.T) {
 	}
 	if st := log.Stats(); st.Syncs != 3 || st.Forces != 3 {
 		t.Fatalf("Syncs = %d, Forces = %d, want 3 and 3", st.Syncs, st.Forces)
+	}
+	// A batch is the same barrier entered once: one more Store.Append, three
+	// more forced writes; an empty batch is not a barrier at all.
+	if err := log.AppendForceAll([]Record{forcedRec(4), forcedRec(5), forcedRec(6)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendForceAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(store.by) != 4 || store.by[3] != me {
+		t.Fatalf("Store.Append calls by %v after a batch of three, want a fourth by %s", store.by, me)
+	}
+	if st := log.Stats(); st.Syncs != 4 || st.Forces != 6 || st.MaxSync != 3 {
+		t.Fatalf("Syncs = %d, Forces = %d, MaxSync = %d, want 4, 6 and 3", st.Syncs, st.Forces, st.MaxSync)
 	}
 }
 

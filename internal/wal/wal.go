@@ -20,10 +20,11 @@
 // unlocked; callers arriving meanwhile append behind it and wait, and the
 // first of them performs the next write for all of them — one fsync for many
 // concurrent transactions, and exactly one Store.Append on the caller's own
-// goroutine when nobody else is forcing. The protocols' forced-write points
-// are unchanged; only the number of physical barriers shrinks. Stats
-// separates the two notions: Forces counts requested barriers, Syncs counts
-// physical batches.
+// goroutine when nobody else is forcing. A caller that holds several records
+// to force at once (a delivery batch, see AppendForceAll) enters the barrier
+// once for all of them. The protocols' forced-write points are unchanged; only
+// the number of physical barriers shrinks. Stats separates the two notions:
+// Forces counts requested forced writes, Syncs counts physical batches.
 package wal
 
 import (
@@ -240,7 +241,7 @@ type Record struct {
 // exactly these numbers, so the log maintains them itself.
 type Stats struct {
 	Appends     uint64 // records appended (forced or not)
-	Forces      uint64 // Force barriers requested (AppendForce counts one)
+	Forces      uint64 // forced writes requested (AppendForce counts one, AppendForceAll one per record)
 	Syncs       uint64 // physical Store.Append batches (<= Forces: concurrent barriers share one)
 	Synced      uint64 // records made stable by those batches
 	MaxSync     uint64 // largest single batch, in records
@@ -297,10 +298,14 @@ type round struct {
 	wake  chan bool
 	err   error
 	batch []Record // set before the true is sent: what the promoted member writes
-	// lsns are the records members are blocked on; a concurrent checkpoint
-	// never collects them, dead or not.
-	lsns []uint64
+	// lsns are the records members are blocked on, one range per member; a
+	// concurrent checkpoint never collects them, dead or not.
+	lsns []lsnRange
 }
+
+// lsnRange is the half-open range [lo, hi) of consecutive LSNs one forcing
+// caller appended under a single hold of the log's lock.
+type lsnRange struct{ lo, hi uint64 }
 
 // SetTap installs an observer invoked for every appended record, with
 // forced reporting whether the append was part of an AppendForce. Tracing
@@ -379,7 +384,7 @@ func (l *Log) Force() error {
 		l.mu.Unlock()
 		return nil
 	}
-	return l.barrier(l.nextLSN - 1)
+	return l.barrier(lsnRange{l.nextLSN - 1, l.nextLSN})
 }
 
 // AppendForce appends rec and forces the log in one call, the common forced
@@ -387,22 +392,47 @@ func (l *Log) Force() error {
 // Concurrent callers share physical writes; a caller alone pays exactly one
 // Store.Append on its own goroutine.
 func (l *Log) AppendForce(rec Record) (uint64, error) {
+	return l.appendForce([]Record{rec})
+}
+
+// AppendForceAll appends recs in order and forces the log once: the forced
+// writes of several transactions that one caller holds at the same moment
+// share a single barrier instead of queueing one behind the other. A nil
+// return means every record survives a crash; an error is the error of the
+// one physical write that covered them all, and the records stay buffered
+// for a later barrier exactly as after a failed AppendForce. While the
+// caller waits, every one of the records is protected from a concurrent
+// checkpoint.
+func (l *Log) AppendForceAll(recs []Record) error {
+	_, err := l.appendForce(recs)
+	return err
+}
+
+// appendForce is AppendForceAll returning the first record's LSN.
+func (l *Log) appendForce(recs []Record) (uint64, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	lsn := l.appendLocked(rec, true)
-	l.stats.Forces++
-	if err := l.barrier(lsn); err != nil {
+	if len(recs) == 0 {
+		l.mu.Unlock()
+		return 0, nil
+	}
+	lo := l.nextLSN
+	for i := range recs {
+		l.appendLocked(recs[i], true)
+	}
+	l.stats.Forces += uint64(len(recs))
+	if err := l.barrier(lsnRange{lo, l.nextLSN}); err != nil {
 		return 0, err
 	}
-	return lsn, nil
+	return lo, nil
 }
 
 // barrier makes every record buffered so far stable and returns the outcome
 // of the physical write that covered them. It is entered with l.mu held and
-// returns with it released; lsn is the record the caller is blocked on.
+// returns with it released; lsns are the records the caller is blocked on.
 //
 // With no write in flight the caller leads: it writes the whole buffer
 // itself. Otherwise it joins the next round and waits; when the write in
@@ -410,7 +440,7 @@ func (l *Log) AppendForce(rec Record) (uint64, error) {
 // buffered by then. A failed write reports its error to every caller whose
 // record it covered and leaves the records buffered, so a later barrier
 // retries them.
-func (l *Log) barrier(lsn uint64) error {
+func (l *Log) barrier(lsns lsnRange) error {
 	var r *round
 	var batch []Record
 	if l.writing || l.holds > 0 {
@@ -420,7 +450,7 @@ func (l *Log) barrier(lsn uint64) error {
 			r = &round{wake: make(chan bool, 1)}
 			l.next = r
 		}
-		r.lsns = append(r.lsns, lsn)
+		r.lsns = append(r.lsns, lsns)
 		l.mu.Unlock()
 		if lead := <-r.wake; !lead {
 			return r.err
@@ -623,11 +653,14 @@ func (l *Log) Checkpoint(live func(Record) bool, entries []CheckpointEntry) (int
 	buffered := append([]Record(nil), l.buffer...)
 	l.mu.Unlock()
 
-	kept := scan[:0:0]
+	// kept becomes the new stable slice, so it grows the way stable does: a
+	// just-fit one would have the first force after every checkpoint copy
+	// everything retained (an acceptor's tombstones, kept forever) under l.mu.
+	var kept []Record
 	for _, r := range scan {
 		// A previous snapshot is superseded by this checkpoint's own.
 		if r.Kind != KRecCheckpoint && live(r) {
-			kept = append(kept, r)
+			kept = append(growRecords(kept, 1), r)
 		}
 	}
 	deadBuffered := make(map[uint64]bool, len(buffered))
@@ -646,7 +679,7 @@ func (l *Log) Checkpoint(live func(Record) bool, entries []CheckpointEntry) (int
 		}
 		l.nextLSN++
 		l.mu.Unlock()
-		kept = append(kept, snap)
+		kept = append(growRecords(kept, 1), snap)
 		image = append(image, snap)
 	}
 	var pending PendingRewrite // nil against a store without two-phase rewrite
@@ -692,7 +725,7 @@ func (l *Log) Checkpoint(live func(Record) bool, entries []CheckpointEntry) (int
 		}
 		keptBuf = append(keptBuf, r)
 	}
-	l.stable = append(kept, suffix...)
+	l.stable = append(growRecords(kept, len(suffix)), suffix...)
 	l.buffer = keptBuf
 	l.stats.Stable = uint64(len(l.stable))
 	l.stats.Checkpoints++
@@ -736,7 +769,7 @@ func (l *Log) awaitedLocked(lsn uint64) bool {
 		return false
 	}
 	for _, w := range l.next.lsns {
-		if w == lsn {
+		if w.lo <= lsn && lsn < w.hi {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -398,6 +399,23 @@ type FrameReader struct {
 // it is a raw connection, so a batch of frames costs one read syscall.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
+}
+
+// NextBuffered reports whether a complete next frame already sits in the
+// underlying bufio.Reader, so that ReadFrame would return it without touching
+// the connection. A length prefix with only part of its body behind it does
+// not count, and neither does anything over a reader that is not a
+// *bufio.Reader.
+func (fr *FrameReader) NextBuffered() bool {
+	br, ok := fr.r.(*bufio.Reader)
+	if !ok || br.Buffered() < 4 {
+		return false
+	}
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return false
+	}
+	return uint32(br.Buffered()-4) >= binary.LittleEndian.Uint32(hdr)
 }
 
 // ReadFrame reads and decodes the next frame. The returned Message does not

@@ -423,6 +423,29 @@ type Message struct {
 	// MsgVoteForward (and echoed on MsgPhase1b/MsgSyncState) so acceptors
 	// can run a takeover over the complete instance set.
 	Roster []RosterEntry
+
+	// Rx is receive-only: the codec never encodes it. A transport's delivery
+	// loop points it at that loop's Delivery for the duration of the handler
+	// call; it is nil on a message handed over in-process by Send and on any
+	// message that did not come off a delivery loop.
+	Rx *Delivery
+}
+
+// Delivery is what a delivery loop — one inbound connection, one mailbox —
+// tells the handler about where a message sits in what the loop has already
+// read. The loop's goroutine owns it: a handler may use it only until it
+// returns and must not hand it to another goroutine.
+type Delivery struct {
+	// More reports that a complete next message for the same site was
+	// already read when this one was delivered: the handler will be called
+	// again on this goroutine without the loop blocking in between. A handler
+	// may therefore defer work (a forced write, say) past its return while
+	// More is set, and must have none outstanding when it returns from a
+	// message that has More clear.
+	More bool
+	// Stage belongs to the handler: state it keeps from one message of this
+	// loop to the next. The transport never touches it.
+	Stage any
 }
 
 // String renders a short human-readable form used by traces and tests.
