@@ -1,14 +1,19 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos examples bench-smoke bench-check obs-smoke recovery-smoke consensus-smoke byz-smoke tier1 cover allocs bench-pipeline bench-recovery bench-consensus mcheck-paxos mcheck-byz clean
+.PHONY: all build test vet race chaos examples bench-check tier1 cover allocs mcheck-paxos mcheck-byz clean
 
 all: tier1
 
 build:
 	$(GO) build ./...
 
+# The second line regenerates the E20 verdict document in memory and holds
+# it against JUDGE_byz.json. It takes minutes, so inside `go test ./...` it
+# skips itself (the default 10-minute deadline is too near) and runs here
+# alone.
 test:
 	$(GO) test ./...
+	$(GO) test -timeout 30m -run 'TestByzJSONMatchesArtifact' ./cmd/prany-chaos
 
 vet:
 	$(GO) vet ./...
@@ -40,52 +45,20 @@ examples:
 		$(GO) run ./$$d >/dev/null; \
 	done
 
-# Short E16 smoke run: a 50-transaction TCP burst must show > 1 messages
-# per physical frame, so a regression that silently disables the transport
-# batch writer fails the gate without paying for the full benchmark sweep.
-bench-smoke:
-	./scripts/bench_smoke.sh
-
 # The benchmark under bench/ is a Go module of its own, so the root
 # build/vet/test never compile it: check it here, or deleting exported API
 # breaks the benchmark silently.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# Observability smoke: start prany-server with -http and assert that
-# /metrics, /txns, /trace and /debug/pprof/ all serve well-formed output.
-obs-smoke:
-	$(GO) run ./scripts/obssmoke
-
-# Recovery smoke: crash a loaded cluster with checkpointing off and on and
-# assert (via the recovery metrics) that the checkpointed recovery scan is
-# O(active), not O(history) — the E18 claim as a merge gate.
-recovery-smoke:
-	$(GO) run ./scripts/recoverysmoke
-
-# Consensus smoke: 3 acceptors + coordinator + 2 participants; the
-# coordinator is killed for good mid-decision and the acceptor takeover
-# must still finish the quorum-fixed commit — the E19 non-blocking claim
-# as a merge gate.
-consensus-smoke:
-	$(GO) run ./scripts/consensussmoke
-
-# Byzantine smoke: a short seeded E20 sweep — every strategy under every
-# adversary behavior at the lying participant — must keep PrAny's honest
-# sites free of atomicity damage (zero Honest/Spread attributions) while
-# the adversary demonstrably forges. The E20 claim as a merge gate.
-byz-smoke:
-	$(GO) run ./scripts/byzsmoke
-
-# tier1 is the merge gate: everything must build, every test must pass,
-# vet must be clean, the concurrent packages must be race-free, the short
-# chaos sweep must stay operationally correct, every example must run,
-# the transport batch writer must demonstrably coalesce frames, the
-# benchmark's own module must build and pass against this API, the
-# introspection endpoints must serve, checkpointed recovery must stay
-# O(active), the replicated decider must survive coordinator death, and
-# PrAny's honest sites must survive a lying participant.
-tier1: build test vet race chaos examples bench-smoke bench-check obs-smoke recovery-smoke consensus-smoke byz-smoke
+# tier1 is the merge gate: everything must build, every test must pass
+# (two of them hold JUDGE_mcheck.json and JUDGE_byz.json to their
+# generators without writing either), vet must be clean, the
+# concurrent packages must be race-free, the short chaos sweep must stay
+# operationally correct, every example must run, and the benchmark's own
+# module must build and pass against this API. It writes nothing into the
+# tree: `git status --porcelain` is empty afterwards.
+tier1: build test vet race chaos examples bench-check
 
 # cover enforces the per-package statement-coverage floors recorded in
 # coverage.floors and the per-benchmark allocation (and, where given, time)
@@ -99,20 +72,6 @@ cover:
 # participant's prepare/decision path inline and staged).
 allocs:
 	./scripts/allocs.sh
-
-# Reproduce the E16 pipelined-commit-stream numbers recorded in
-# BENCH_pipeline.json.
-bench-pipeline:
-	$(GO) test -bench 'BenchmarkE16_Pipeline' -benchtime 5000x -run '^$$' .
-
-# Reproduce the E18 recovery-cost numbers recorded in BENCH_recovery.json.
-bench-recovery:
-	$(GO) run ./cmd/prany-bench -run recovery -json
-
-# Reproduce the E19 replicated-decision numbers recorded in
-# BENCH_consensus.json.
-bench-consensus:
-	$(GO) run ./cmd/prany-bench -run consensus -json
 
 # Exhaustively check the E19 claim: the replicated decider sweeps clean and
 # non-blocking under permanent coordinator death; the single decider blocks.

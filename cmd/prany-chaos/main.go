@@ -8,9 +8,9 @@
 //	prany-chaos -episodes 200 -seed 1       # 200 PrAny episodes, seeds 1..200
 //	prany-chaos -strategy u2pc -episodes 50 # watch Theorem 1 happen
 //	prany-chaos -e14 -episodes 40           # E14 matrix: U2PC vs C2PC vs PrAny
-//	prany-chaos -e14 -episodes 40 -json     # the same, as JSON (BENCH_chaos.json)
+//	prany-chaos -e14 -episodes 40 -json     # the same, as JSON (JUDGE_chaos.json)
 //	prany-chaos -byz -episodes 6            # E20 Byzantine tolerance matrix
-//	prany-chaos -byz -episodes 6 -json      # the same, as JSON (BENCH_byz.json)
+//	prany-chaos -byz -episodes 6 -json      # the same, as JSON (JUDGE_byz.json)
 //
 // Every episode's faults derive from its seed alone, so a failing run
 // reproduces from the printed command.

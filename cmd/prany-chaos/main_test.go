@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunSingleEpisode runs one seeded PrAny episode: deterministic by
@@ -40,7 +43,7 @@ func TestRunUnknownStrategy(t *testing.T) {
 }
 
 // TestRunMatrixJSON runs a tiny E14 matrix and checks the JSON shape the
-// BENCH_chaos.json artifact is generated from.
+// JUDGE_chaos.json artifact is generated from.
 func TestRunMatrixJSON(t *testing.T) {
 	var out strings.Builder
 	code := run([]string{"-e14", "-episodes", "2", "-seed", "1", "-txns", "4", "-json"}, &out)
@@ -62,17 +65,82 @@ func TestRunMatrixJSON(t *testing.T) {
 	}
 }
 
-// TestByzJSONShape pins the committed BENCH_byz.json artifact (regenerated
-// by scripts/bench_smoke.sh with -byz -episodes 2 -seed 1 -txns 8 -json):
-// the E20 document shape, the seeded sweep's 3x4 (strategy, behavior) grid,
-// the 16 exhaustive cells, the passing verdict, and the headline claims —
-// PrAny's honest sites stay whole under every lying participant, and at
-// least one cell carries a replayable +byz= counterexample.
+// byzCanonical is the flag set JUDGE_byz.json was generated with.
+var byzCanonical = []string{"-byz", "-episodes", "2", "-seed", "1", "-txns", "8", "-json"}
+
+var elapsedMS = regexp.MustCompile(`"elapsed_ms": \d+`)
+
+// TestByzJSONShape pins the committed JUDGE_byz.json artifact.
 func TestByzJSONShape(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_byz.json")
+	data, err := os.ReadFile("../../JUDGE_byz.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkByzDoc(t, data)
+}
+
+// TestByzJSONMatchesArtifact regenerates the E20 document in memory with
+// the canonical flags and holds it against the committed JUDGE_byz.json, so
+// the artifact can never drift from its generator and no gate rewrites a
+// committed file. The exhaustive half (header, the 16 mcheck cells with
+// their counterexamples, the verdict) is deterministic and must be
+// bit-identical once elapsed_ms is zeroed on both sides. The seeded rows run
+// on real timers and goroutines — their commit/abort/forged counts differ
+// from run to run on one host — so there the fresh document must make the
+// same claims the artifact does (checkByzDoc), not the same numbers.
+//
+// The two replicated-decider cells take about 6 minutes on two cores alone
+// and 9 beside the rest of `go test ./...`, which is the test binary's
+// default 10-minute deadline: the test runs only when the deadline leaves
+// room, and `make test` runs it by itself with -timeout 30m.
+func TestByzJSONMatchesArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 16 exhaustive E20 cells (minutes); skipped with -short")
+	}
+	if d, ok := t.Deadline(); ok && time.Until(d) < 15*time.Minute {
+		t.Skip("needs up to 9 minutes and the deadline is nearer than 15; run it alone: " +
+			"go test -timeout 30m -run TestByzJSONMatchesArtifact ./cmd/prany-chaos")
+	}
+	var out bytes.Buffer
+	if code := run(byzCanonical, &out); code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out.String())
+	}
+	checkByzDoc(t, out.Bytes())
+
+	want, err := os.ReadFile("../../JUDGE_byz.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gen, art map[string]json.RawMessage
+	if err := json.Unmarshal(out.Bytes(), &gen); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &art); err != nil {
+		t.Fatal(err)
+	}
+	if len(gen) != len(art) {
+		t.Fatalf("generated document has %d top-level fields, JUDGE_byz.json %d", len(gen), len(art))
+	}
+	zero := []byte(`"elapsed_ms": 0`)
+	for field, a := range art {
+		if field == "seeded_rows" {
+			continue
+		}
+		g := elapsedMS.ReplaceAll(gen[field], zero)
+		if a = elapsedMS.ReplaceAll(a, zero); !bytes.Equal(g, a) {
+			t.Errorf("prany-chaos %s drifted from JUDGE_byz.json in %q:\n generated: %s\n artifact:  %s",
+				strings.Join(byzCanonical, " "), field, g, a)
+		}
+	}
+}
+
+// checkByzDoc holds one E20 document to the claims the experiment makes:
+// the document shape, the seeded sweep's 3x4 (strategy, behavior) grid, the
+// 16 exhaustive cells, the passing verdict, and the headline — PrAny's
+// honest sites stay whole under every lying participant, and at least one
+// cell carries a replayable +byz= counterexample.
+func checkByzDoc(t *testing.T, data []byte) {
+	t.Helper()
 	type row struct {
 		Strategy  string `json:"strategy"`
 		Behavior  string `json:"behavior"`
@@ -107,7 +175,7 @@ func TestByzJSONShape(t *testing.T) {
 		t.Fatalf("unexpected header: experiment=%q byz_site=%q", doc.Experiment, doc.ByzSite)
 	}
 	if doc.Verdict != "pass" {
-		t.Fatalf("committed artifact's verdict = %q, want pass", doc.Verdict)
+		t.Fatalf("verdict = %q, want pass", doc.Verdict)
 	}
 	if len(doc.SeededRows) != 12 { // 3 strategies x 4 behaviors
 		t.Fatalf("seeded rows = %d, want 12", len(doc.SeededRows))
@@ -136,7 +204,7 @@ func TestByzJSONShape(t *testing.T) {
 			t.Fatalf("cell %s: truncated=%v schedules=%d", c.Label, c.Truncated, c.Schedules)
 		}
 		if c.HonestViolating != 0 {
-			t.Fatalf("cell %s: %d honest-site untainted violations in the committed artifact", c.Label, c.HonestViolating)
+			t.Fatalf("cell %s: %d honest-site untainted violations", c.Label, c.HonestViolating)
 		}
 		if strings.HasPrefix(c.Label, "PrAny") && !strings.Contains(c.Label, "+byz=coord:") && c.SpreadViolating != 0 {
 			t.Fatalf("cell %s: spread=%d, want 0", c.Label, c.SpreadViolating)

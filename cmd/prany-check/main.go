@@ -9,7 +9,7 @@
 // Usage:
 //
 //	prany-check                      # E15 matrix: U2PC vs C2PC vs PrAny
-//	prany-check -json                # the same, as JSON (BENCH_mcheck.json)
+//	prany-check -json                # the same, as JSON (JUDGE_mcheck.json)
 //	prany-check -strategy u2pc       # one strategy; exit 1 on any violation
 //	prany-check -strategy u2pc -stop # stop at the first counterexample
 //	prany-check -strategy prany-paxos # E19: replicated vs single decision under

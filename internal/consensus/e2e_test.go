@@ -11,13 +11,20 @@ import (
 
 func threeAcceptorCluster(t *testing.T) *sim.Cluster {
 	t.Helper()
+	return newCluster(t, 3)
+}
+
+// newCluster is a PrN and a PrC participant under PrAny, the decision
+// replicated over the given number of acceptors (0 = single decider).
+func newCluster(t *testing.T, acceptors int) *sim.Cluster {
+	t.Helper()
 	c, err := sim.New(sim.Spec{
 		Participants: []sim.PartSpec{
 			{ID: "p1", Proto: wire.PrN},
 			{ID: "p2", Proto: wire.PrC},
 		},
 		VoteTimeout: 500 * time.Millisecond,
-		Acceptors:   3,
+		Acceptors:   acceptors,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,4 +194,41 @@ func caughtUp(txns []wire.TxnID, a outcomeReader) bool {
 		}
 	}
 	return len(txns) > 0
+}
+
+// What the quorum round costs, in the paper's units: per committed
+// transaction the replicated decider sends nine messages the single decider
+// does not (the vote forward to, the Phase2b from and the end notice to each
+// of three acceptors) and the cluster forces five more records (an accept
+// record and a tombstone at each acceptor, less the coordinator's own
+// decision force, which leaves the critical path). The benchmark's
+// paxos-file workload prices the same round in milliseconds.
+func TestReplicationCostsMessagesAndForces(t *testing.T) {
+	const txns = 10
+	cost := func(acceptors int) (protocol, quorum, forces uint64) {
+		c := newCluster(t, acceptors)
+		plans := workload.Generate(workload.Spec{Txns: txns, CommitFraction: 1, Seed: 19}, c.PartIDs())
+		if res := c.Run(plans); res.Commits != txns {
+			t.Fatalf("acceptors=%d: want %d commits, got %+v", acceptors, txns, res)
+		}
+		if !c.Quiesce(5 * time.Second) {
+			t.Fatalf("acceptors=%d: cluster did not quiesce", acceptors)
+		}
+		tot := c.Met.Total()
+		m := tot.Messages
+		return m[wire.MsgPrepare] + m[wire.MsgVote] + m[wire.MsgDecision] + m[wire.MsgAck],
+			m[wire.MsgVoteForward] + m[wire.MsgPhase2b] + m[wire.MsgPaxosEnd],
+			tot.Forces
+	}
+	singleProto, singleQuorum, singleForces := cost(0)
+	replProto, replQuorum, replForces := cost(3)
+	if singleQuorum != 0 || replQuorum != 9*txns {
+		t.Errorf("quorum-round messages: single %d, replicated %d; want 0 and %d", singleQuorum, replQuorum, 9*txns)
+	}
+	if replProto != singleProto {
+		t.Errorf("replication changed the participants' protocol traffic: %d messages, single %d", replProto, singleProto)
+	}
+	if replForces != singleForces+5*txns {
+		t.Errorf("replicated decision forced %d records, single %d: want +5 per transaction", replForces, singleForces)
+	}
 }

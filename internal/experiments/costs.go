@@ -1,7 +1,9 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment in DESIGN.md §4, each returning structured results that
-// cmd/prany-bench renders as tables and bench_test.go asserts against the
-// paper's predictions. The experiments are:
+// experiment in DESIGN.md §4, each returning structured results in logical
+// units (forced writes, records, messages, violations — never wall-clock
+// time) that cmd/prany-tables, cmd/prany-chaos and cmd/prany-check render
+// and this package's tests assert against the paper's predictions. The
+// experiments are:
 //
 //	E1-E4  per-protocol cost profiles (Figures 2, 3, 4, 1)
 //	E5     U2PC atomicity violations (Theorem 1)
@@ -9,6 +11,10 @@
 //	E7     PrAny operational correctness under fault injection (Theorem 3)
 //	E8     who-wins performance across commit ratios
 //	E10    read-only optimization ablation
+//	E14    seeded chaos matrix (chaos.go)
+//	E15    exhaustive theorem matrix (mcheck.go)
+//	E18    recovery scan vs log size (recovery.go)
+//	E20    Byzantine tolerance matrix (byz.go)
 package experiments
 
 import (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"prany/internal/core"
 	"prany/internal/wire"
@@ -19,12 +20,16 @@ func TestMeasuredCostsMatchAnalyticModel(t *testing.T) {
 	cases := []tc{
 		{"PrN-2", Homogeneous(wire.PrN, 2)},
 		{"PrN-4", Homogeneous(wire.PrN, 4)},
+		{"PrN-8", Homogeneous(wire.PrN, 8)},
 		{"PrA-2", Homogeneous(wire.PrA, 2)},
 		{"PrA-4", Homogeneous(wire.PrA, 4)},
+		{"PrA-8", Homogeneous(wire.PrA, 8)},
 		{"PrC-2", Homogeneous(wire.PrC, 2)},
 		{"PrC-4", Homogeneous(wire.PrC, 4)},
+		{"PrC-8", Homogeneous(wire.PrC, 8)},
 		{"Mixed-3", MixedThirds(3)},
 		{"Mixed-6", MixedThirds(6)},
+		{"Mixed-9", MixedThirds(9)},
 		{"PrA+PrC", []wire.Protocol{wire.PrA, wire.PrC}},
 		{"IYV-2", Homogeneous(wire.IYV, 2)},
 		{"IYV-4", Homogeneous(wire.IYV, 4)},
@@ -109,6 +114,48 @@ func TestTheorem2Growth(t *testing.T) {
 	}
 	if pt.Retained != 0 || pt.StableRecords != 0 {
 		t.Errorf("PrAny retained %d entries, %d records; want 0, 0", pt.Retained, pt.StableRecords)
+	}
+
+	// The same growth as a live /txns reader sees it (E17's retention-age
+	// curve): after each round of commits C2PC's table has grown by the
+	// round and its oldest entry — a round-one commit waiting for an ack the
+	// PrC participant will never send — has only aged; PrAny's table is
+	// empty after every round.
+	const rounds, perRound = 3, 4
+	for _, strategy := range []core.Strategy{core.StrategyC2PC, core.StrategyPrAny} {
+		cluster, err := theorem2Cluster(strategy, wire.PrN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cluster.Close)
+		var oldest time.Duration
+		for r := 1; r <= rounds; r++ {
+			if err := commitMixed(cluster, r, perRound); err != nil {
+				t.Fatalf("%s: %v", strategy, err)
+			}
+			// PrAny drains well inside the budget; C2PC burns all of it.
+			cluster.Quiesce(300 * time.Millisecond)
+			coord := cluster.Coord.Coordinator()
+			if strategy == core.StrategyPrAny {
+				if n := coord.PTSize(); n != 0 {
+					t.Errorf("PrAny round %d: %d entries retained, want 0", r, n)
+				}
+				continue
+			}
+			if n := coord.PTSize(); n != r*perRound {
+				t.Errorf("C2PC round %d: %d entries retained, want %d", r, n, r*perRound)
+			}
+			var age time.Duration
+			for _, e := range coord.PTDump() {
+				if e.Age > age {
+					age = e.Age
+				}
+			}
+			if age < oldest || age == 0 {
+				t.Errorf("C2PC round %d: oldest entry aged %v after %v", r, age, oldest)
+			}
+			oldest = age
+		}
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 )
 
 // PerfPoint is one cell of the who-wins table (E8): a protocol mix at a
-// commit ratio, with throughput and the per-transaction cost averages that
-// explain it.
+// commit ratio, with the per-transaction cost averages that decide it.
 type PerfPoint struct {
 	Label        string
 	N            int
@@ -19,15 +18,13 @@ type PerfPoint struct {
 	Txns         int
 	Commits      int
 	Aborts       int
-	TxnsPerSec   float64
-	MeanLatency  time.Duration
 	ForcesPerTxn float64 // forced writes per transaction, cluster-wide
 	MsgsPerTxn   float64 // protocol messages per transaction
 }
 
 // MeasurePerf runs a workload of txns transactions over participants with
-// the given protocols at the given commit ratio and reports throughput and
-// average per-transaction costs.
+// the given protocols at the given commit ratio and reports the average
+// per-transaction costs.
 func MeasurePerf(mix []wire.Protocol, commitRatio float64, txns, clients int, seed int64) (PerfPoint, error) {
 	pt := PerfPoint{Label: mixLabel(mix), N: len(mix), CommitRatio: commitRatio, Txns: txns}
 	spec := sim.Spec{VoteTimeout: 500 * time.Millisecond}
@@ -63,8 +60,6 @@ func MeasurePerf(mix []wire.Protocol, commitRatio float64, txns, clients int, se
 
 	pt.Commits = res.Commits
 	pt.Aborts = res.Aborts
-	pt.TxnsPerSec = float64(txns) / res.Elapsed.Seconds()
-	pt.MeanLatency = res.MeanLatency
 	tot := cluster.Met.Total()
 	protoMsgs := tot.Messages[wire.MsgPrepare] + tot.Messages[wire.MsgVote] +
 		tot.Messages[wire.MsgDecision] + tot.Messages[wire.MsgAck] + tot.Messages[wire.MsgInquiry]

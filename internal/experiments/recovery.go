@@ -37,8 +37,6 @@ type RecoveryPoint struct {
 	// before the crash.
 	Checkpoints uint64
 	Collected   uint64
-	// Elapsed is the wall time of recovering every site, log scan included.
-	Elapsed time.Duration
 }
 
 // MeasureRecovery runs the E18 harness once: a mixed PrN/PrA/PrC cluster
@@ -101,13 +99,11 @@ func MeasureRecovery(ckptEvery, terminated, active int, seed int64) (RecoveryPoi
 	pt.Checkpoints = pre.Checkpoints
 	pt.Collected = pre.CheckpointCollected
 
-	begun := time.Now()
 	for _, id := range sites {
 		if err := cluster.Site(id).Recover(); err != nil {
 			return pt, fmt.Errorf("recover %s: %w", id, err)
 		}
 	}
-	pt.Elapsed = time.Since(begun)
 
 	tot := cluster.Met.Total()
 	pt.Recoveries = int(tot.Recoveries)

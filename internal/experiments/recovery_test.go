@@ -61,6 +61,12 @@ func TestRecoveryScanBoundedByCheckpointing(t *testing.T) {
 		t.Errorf("checkpointing on at M=%d: scanned %d, not under the uncheckpointed M=%d scan %d",
 			large, onLarge.Scanned, small, offSmall.Scanned)
 	}
+	// O(active), not O(history): the scan reads fewer records than there
+	// were terminated transactions, let alone their several records each.
+	if onLarge.Scanned >= large {
+		t.Errorf("checkpointing on: scanned %d records for %d terminated transactions — O(history), not O(active)",
+			onLarge.Scanned, large)
+	}
 	// The suffix metric reports the replay work after the last snapshot; it
 	// can never exceed the full scan.
 	if onLarge.Suffix > onLarge.Scanned {

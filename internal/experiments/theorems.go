@@ -144,29 +144,13 @@ func Theorem2(strategy core.Strategy, native wire.Protocol, txns int) (Retention
 	}
 	pt := RetentionPoint{Strategy: label, Txns: txns}
 
-	cluster, err := sim.New(sim.Spec{
-		Strategy: strategy,
-		Native:   native,
-		Participants: []sim.PartSpec{
-			{ID: "pa", Proto: wire.PrA}, {ID: "pc", Proto: wire.PrC},
-		},
-		VoteTimeout: 250 * time.Millisecond,
-	})
+	cluster, err := theorem2Cluster(strategy, native)
 	if err != nil {
 		return pt, err
 	}
 	defer cluster.Close()
-
-	for i := 0; i < txns; i++ {
-		txn := cluster.Coord.Begin()
-		for _, id := range []wire.SiteID{"pa", "pc"} {
-			if err := txn.Put(id, fmt.Sprintf("k%d", i), "v"); err != nil {
-				return pt, err
-			}
-		}
-		if out, err := txn.Commit(); err != nil || out != wire.Commit {
-			return pt, fmt.Errorf("experiments: txn %d: %v %v", i, out, err)
-		}
+	if err := commitMixed(cluster, 0, txns); err != nil {
+		return pt, err
 	}
 	cluster.Quiesce(3 * time.Second)
 	if _, err := cluster.CheckpointAll(); err != nil {
@@ -175,6 +159,36 @@ func Theorem2(strategy core.Strategy, native wire.Protocol, txns int) (Retention
 	pt.Retained = cluster.Coord.Coordinator().PTSize()
 	pt.StableRecords = cluster.StableRecords()
 	return pt, nil
+}
+
+// theorem2Cluster is Theorem 2's setting: one PrA and one PrC participant
+// under the given coordinator strategy.
+func theorem2Cluster(strategy core.Strategy, native wire.Protocol) (*sim.Cluster, error) {
+	return sim.New(sim.Spec{
+		Strategy: strategy,
+		Native:   native,
+		Participants: []sim.PartSpec{
+			{ID: "pa", Proto: wire.PrA}, {ID: "pc", Proto: wire.PrC},
+		},
+		VoteTimeout: 250 * time.Millisecond,
+	})
+}
+
+// commitMixed commits n transactions of the given round, each writing one
+// fresh key at every participant.
+func commitMixed(cluster *sim.Cluster, round, n int) error {
+	for i := 0; i < n; i++ {
+		txn := cluster.Coord.Begin()
+		for _, id := range cluster.PartIDs() {
+			if err := txn.Put(id, fmt.Sprintf("k%d-%d", round, i), "v"); err != nil {
+				return err
+			}
+		}
+		if out, err := txn.Commit(); err != nil || out != wire.Commit {
+			return fmt.Errorf("experiments: round %d txn %d: %v %v", round, i, out, err)
+		}
+	}
+	return nil
 }
 
 // FaultSweepResult is one Monte-Carlo fault-injection run (Theorem 3).

@@ -142,14 +142,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 	return s
 }
 
-// Mean is the average observed duration (0 when empty).
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear
 // interpolation within the bucket holding the target rank. The estimate's
 // error is bounded by the bucket width — a factor of two — which is enough
@@ -189,10 +181,8 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	return BucketUpper(histBuckets - 1)
 }
 
-// P50, P95 and P99 are the conventional snapshot percentiles.
+// P50 is the snapshot's median.
 func (s HistSnapshot) P50() time.Duration { return s.Quantile(0.50) }
-func (s HistSnapshot) P95() time.Duration { return s.Quantile(0.95) }
-func (s HistSnapshot) P99() time.Duration { return s.Quantile(0.99) }
 
 // Observe records one duration for span s. It is lock-free (the registry
 // mutex guards only the per-site counter maps) so engines may call it from

@@ -68,14 +68,6 @@ type SiteCounters struct {
 	BytesOnWire   uint64
 }
 
-// MeanBatch is the average number of records per physical log flush.
-func (c SiteCounters) MeanBatch() float64 {
-	if c.Syncs == 0 {
-		return 0
-	}
-	return float64(c.Synced) / float64(c.Syncs)
-}
-
 // MeanFrameBatch is the average number of message frames per physical
 // network write.
 func (c SiteCounters) MeanFrameBatch() float64 {

@@ -300,12 +300,10 @@ type TxnResult struct {
 	Txn     wire.TxnID
 	Outcome wire.Outcome
 	Err     error
-	Latency time.Duration
 }
 
 // RunPlan executes one workload plan through the coordinator site.
 func (c *Cluster) RunPlan(plan workload.TxnPlan) TxnResult {
-	start := time.Now()
 	t := c.Coord.Begin()
 	res := TxnResult{Txn: t.ID()}
 	if plan.Abort {
@@ -323,32 +321,25 @@ func (c *Cluster) RunPlan(plan workload.TxnPlan) TxnResult {
 			_ = t.Abort()
 			res.Err = err
 			res.Outcome = wire.Abort
-			res.Latency = time.Since(start)
 			return res
 		}
 	}
 	out, err := t.Commit()
 	res.Outcome = out
 	res.Err = err
-	res.Latency = time.Since(start)
 	return res
 }
 
 // Results aggregates a workload run.
 type Results struct {
 	Commits, Aborts, Errors int
-	Elapsed                 time.Duration
-	MeanLatency             time.Duration
 }
 
 // Run executes every plan sequentially and aggregates the outcomes.
 func (c *Cluster) Run(plans []workload.TxnPlan) Results {
-	start := time.Now()
 	var res Results
-	var totalLat time.Duration
 	for _, plan := range plans {
 		r := c.RunPlan(plan)
-		totalLat += r.Latency
 		switch {
 		case r.Err != nil:
 			res.Errors++
@@ -357,10 +348,6 @@ func (c *Cluster) Run(plans []workload.TxnPlan) Results {
 		default:
 			res.Aborts++
 		}
-	}
-	res.Elapsed = time.Since(start)
-	if len(plans) > 0 {
-		res.MeanLatency = totalLat / time.Duration(len(plans))
 	}
 	return res
 }
@@ -371,10 +358,8 @@ func (c *Cluster) RunParallel(plans []workload.TxnPlan, clients int) Results {
 	if clients <= 1 {
 		return c.Run(plans)
 	}
-	start := time.Now()
 	var mu sync.Mutex
 	var res Results
-	var totalLat time.Duration
 	var wg sync.WaitGroup
 	next := make(chan workload.TxnPlan)
 	for i := 0; i < clients; i++ {
@@ -384,7 +369,6 @@ func (c *Cluster) RunParallel(plans []workload.TxnPlan, clients int) Results {
 			for plan := range next {
 				r := c.RunPlan(plan)
 				mu.Lock()
-				totalLat += r.Latency
 				switch {
 				case r.Err != nil:
 					res.Errors++
@@ -402,10 +386,6 @@ func (c *Cluster) RunParallel(plans []workload.TxnPlan, clients int) Results {
 	}
 	close(next)
 	wg.Wait()
-	res.Elapsed = time.Since(start)
-	if len(plans) > 0 {
-		res.MeanLatency = totalLat / time.Duration(len(plans))
-	}
 	return res
 }
 
@@ -451,12 +431,6 @@ func (c *Cluster) TickAll() {
 		s.Tick()
 	}
 }
-
-// QuiescedNow reports whether the cluster is quiescent at this instant —
-// every protocol table empty and no pending subtransactions — without
-// waiting or ticking. Deterministic drivers that control delivery
-// themselves use it in place of the clock-driven Quiesce.
-func (c *Cluster) QuiescedNow() bool { return c.quiesced() }
 
 func (c *Cluster) quiesced() bool {
 	if !c.Coord.Quiesced() {
