@@ -97,18 +97,15 @@ func run(args []string, stdout io.Writer) int {
 
 func clusterSpec(proto string, n int) (sim.Spec, string, error) {
 	spec := sim.Spec{VoteTimeout: 200 * time.Millisecond}
-	switch strings.ToLower(proto) {
-	case "prn", "pra", "prc", "iyv", "cl":
-		p, err := wire.ParseProtocol(proto)
-		if err != nil {
-			return spec, "", err
-		}
+	p, err := wire.ParseProtocol(proto)
+	switch {
+	case err == nil && p.ParticipantProtocol():
 		for i := 0; i < n; i++ {
 			spec.Participants = append(spec.Participants,
 				sim.PartSpec{ID: wire.SiteID(fmt.Sprintf("p%d", i+1)), Proto: p})
 		}
 		return spec, p.String(), nil
-	case "prany":
+	case err == nil && p == wire.PrAny:
 		spec.Participants = []sim.PartSpec{
 			{ID: "pn", Proto: wire.PrN}, {ID: "pa", Proto: wire.PrA}, {ID: "pc", Proto: wire.PrC},
 		}

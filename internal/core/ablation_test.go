@@ -7,50 +7,10 @@ import (
 	"prany/internal/wire"
 )
 
-// TestAblationFixedPresumption shows the dynamic per-inquirer presumption
-// is what makes PrAny safe: the same engine with a *fixed* post-forget
-// presumption re-creates the Theorem-1 violation on the schedule whose
-// actual outcome contradicts the fixed answer.
-func TestAblationFixedPresumption(t *testing.T) {
-	// Fixed ABORT presumption, committed transaction, PrC victim: the
-	// inquiry is answered abort though the outcome was commit.
-	cfg := CoordinatorConfig{FixedPresumption: true, FixedOutcome: wire.Abort}
-	r := newRig(t, cfg, partSpec{"pa", wire.PrA}, partSpec{"pc", wire.PrC})
-	txn := r.nextTxn()
-	r.exec(txn, "pa", "pc")
-	r.drop = func(m wire.Message) bool { return m.Kind == wire.MsgDecision && m.To == "pc" }
-	out, err := r.coord.Commit(txn, []wire.SiteID{"pa", "pc"})
-	if err != nil || out != wire.Commit {
-		t.Fatalf("outcome %v, %v", out, err)
-	}
-	r.drop = nil
-	if r.coord.PTSize() != 0 {
-		t.Fatal("coordinator did not forget")
-	}
-	r.crashPart("pc")
-	r.recoverPart("pc", wire.PrC)
-	r.checkAtomicityViolated()
-
-	// Fixed COMMIT presumption, aborted transaction, PrA victim: dual case.
-	cfg2 := CoordinatorConfig{FixedPresumption: true, FixedOutcome: wire.Commit}
-	r2 := newRig(t, cfg2, partSpec{"pa", wire.PrA}, partSpec{"pc", wire.PrC})
-	txn2 := r2.nextTxn()
-	r2.exec(txn2, "pa", "pc")
-	r2.drop = func(m wire.Message) bool { return m.Kind == wire.MsgVote && m.From == "pc" }
-	out2, err := r2.coord.Commit(txn2, []wire.SiteID{"pa", "pc"})
-	if err != nil || out2 != wire.Abort {
-		t.Fatalf("outcome %v, %v", out2, err)
-	}
-	r2.drop = nil
-	r2.crashPart("pa")
-	r2.recoverPart("pa", wire.PrA)
-	r2.checkAtomicityViolated()
-}
-
-// TestAblationDynamicPresumptionIsSafe is the control: the identical
-// schedules with the dynamic presumption stay clean (already covered by
-// TestPrAnySurvivesTheorem1Schedules; asserted here side by side with the
-// ablation for the record).
+// TestAblationDynamicPresumptionIsSafe is the live control for the
+// fixed-answer column of TestDefinition2Enumeration: on the schedule where
+// a fixed abort answer re-creates the Theorem 1 violation, the dynamic
+// per-inquirer presumption stays clean.
 func TestAblationDynamicPresumptionIsSafe(t *testing.T) {
 	r := newRig(t, CoordinatorConfig{}, partSpec{"pa", wire.PrA}, partSpec{"pc", wire.PrC})
 	txn := r.nextTxn()

@@ -59,14 +59,6 @@ type CoordinatorConfig struct {
 	// VoteTimeout bounds the voting phase; a silent participant is treated
 	// as a no vote. Zero means 500ms.
 	VoteTimeout time.Duration
-	// FixedPresumption is an ablation knob: when set with StrategyPrAny,
-	// post-forget inquiries are answered with FixedOutcome instead of the
-	// inquirer's own presumption. It exists to demonstrate that the
-	// dynamic per-inquirer presumption is load-bearing — a fixed one
-	// re-creates the Theorem 1 violations (see BenchmarkAblation and
-	// TestAblationFixedPresumption).
-	FixedPresumption bool
-	FixedOutcome     wire.Outcome
 	// NewDecider, when set, builds the decision fix-point for this
 	// coordinator — a replicated decider (internal/consensus) makes the
 	// decision durable on an acceptor quorum instead of the local log.
@@ -105,7 +97,7 @@ type ctxn struct {
 	state     cstate
 	parts     map[wire.SiteID]*cpart
 	order     []wire.SiteID
-	chosen    wire.Protocol // PrN, PrA, PrC or PrAny
+	chosen    wire.Protocol // a participant protocol, or PrAny
 	decided   bool
 	outcome   wire.Outcome
 	votesDone chan struct{}
@@ -351,14 +343,13 @@ func (c *Coordinator) begin(txn wire.TxnID, parts []wire.SiteID) (*ctxn, int, er
 	}
 	c.env.trace(obs.Event{Kind: obs.EvBegin, Txn: txn, Note: ct.chosen.String()})
 
-	// Voting phase. PrC and PrAny force an initiation record naming every
-	// participant — and, for PrAny, each participant's protocol — before
-	// any prepare is sent: without it, a coordinator crash would leave
-	// undecided transactions indistinguishable from presumable ones. A
-	// replicated decider forces it for *every* chosen variant: the record
-	// is what tells recovery to learn the outcome from the acceptors
-	// instead of presuming, and names the roster to finish with.
-	if ct.chosen == wire.PrC || ct.chosen == wire.PrAny || c.decider.Replicated() {
+	// Voting phase. A variant that does not presume abort forces an
+	// initiation record naming every participant and its protocol before
+	// any prepare is sent (wire.Rule.ForcesInitiation). A replicated
+	// decider forces it for *every* chosen variant: the record is what
+	// tells recovery to learn the outcome from the acceptors instead of
+	// presuming, and names the roster to finish with.
+	if ct.chosen.Rule().ForcesInitiation() || c.decider.Replicated() {
 		if err := c.env.force(wal.Record{
 			Kind: wal.KInitiation, Role: wal.RoleCoord, Txn: txn, Participants: c.infoList(ct),
 		}); err != nil {
@@ -435,11 +426,10 @@ func (c *Coordinator) infoList(ct *ctxn) []wal.ParticipantInfo {
 // delivery path.
 func (c *Coordinator) decide(ct *ctxn, outcome wire.Outcome) (wire.Outcome, error) {
 	req := DecideRequest{
-		Txn:       ct.txn,
-		Chosen:    ct.chosen,
-		Outcome:   outcome,
-		Roster:    c.infoList(ct),
-		LogsAbort: c.logsAbortRecord(ct),
+		Txn:     ct.txn,
+		Chosen:  ct.chosen,
+		Outcome: outcome,
+		Roster:  c.infoList(ct),
 	}
 	if c.decider.Replicated() {
 		req.Votes = c.instanceVotes(ct)
@@ -515,15 +505,6 @@ func (c *Coordinator) finalize(ct *ctxn, outcome wire.Outcome) {
 	}
 }
 
-// logsAbortRecord reports whether this transaction's variant forces an
-// abort decision record: presumed nothing, and coordinator log — whose
-// coordinator still owes its participants their acknowledgment-pending
-// memory across a crash, with no initiation record to reconstruct an
-// undecided abort from.
-func (c *Coordinator) logsAbortRecord(ct *ctxn) bool {
-	return ct.chosen == wire.PrN || ct.chosen == wire.CL
-}
-
 // decisionMsgsLocked computes the decision recipients, marks the expected
 // acknowledgment set, and returns the messages to send.
 //
@@ -534,13 +515,12 @@ func (c *Coordinator) logsAbortRecord(ct *ctxn) bool {
 // participants, whose yes vote may have been lost and who may therefore be
 // blocked in the prepared state.
 //
-// Expected acks per strategy:
+// Expected acks per strategy (expectsAck):
 //
-//	PrAny:  recipients whose own protocol acknowledges this outcome — the
-//	        PrN∪PrA set for commits, PrN∪PrC for aborts (Figure 1).
+//	PrAny:  recipients whose own protocol acknowledges this outcome
+//	        (wire.Rule.Acks; Figure 1).
 //	U2PC:   as PrAny when the native protocol collects acks for this
-//	        outcome at all, empty otherwise (native PrA forgets aborts
-//	        immediately; native PrC forgets commits immediately).
+//	        outcome at all, empty otherwise.
 //	C2PC:   every recipient, whether or not its protocol will ever ack.
 func (c *Coordinator) decisionMsgsLocked(ct *ctxn) []wire.Message {
 	var msgs []wire.Message
@@ -569,34 +549,14 @@ func (c *Coordinator) expectsAck(ct *ctxn, p *cpart) bool {
 		if !c.cfg.Native.Acks(ct.outcome) {
 			return false // native protocol forgets this outcome at once
 		}
-		return p.proto.Acks(ct.outcome)
-	default:
-		return p.proto.Acks(ct.outcome)
 	}
-}
-
-// needsEnd reports whether an end record is written when draining
-// completes. A variant that forgets an outcome immediately (PrA aborts,
-// PrC commits) leaves no records needing the end marker.
-func (c *Coordinator) needsEnd(ct *ctxn) bool {
-	proto := ct.chosen
-	if c.cfg.Strategy == StrategyC2PC {
-		return true
-	}
-	switch proto {
-	case wire.PrA, wire.IYV: // IYV follows presumed-abort discipline
-		return ct.outcome == wire.Commit
-	case wire.PrC:
-		return ct.outcome == wire.Abort
-	default: // PrN, PrAny
-		return true
-	}
+	return p.proto.Acks(ct.outcome)
 }
 
 // maybeFinishLocked checks whether every expected ack arrived; if so it
-// writes the end record (when the variant calls for one) and deletes the
-// transaction from its shard map m (the caller holds that shard's lock) —
-// the coordinator forgets.
+// writes the end record (when the variant calls for one, and always under
+// C2PC) and deletes the transaction from its shard map m (the caller holds
+// that shard's lock) — the coordinator forgets.
 func (c *Coordinator) maybeFinishLocked(m map[wire.TxnID]*ctxn, ct *ctxn) bool {
 	if ct.state != cDraining {
 		return false
@@ -606,7 +566,7 @@ func (c *Coordinator) maybeFinishLocked(m map[wire.TxnID]*ctxn, ct *ctxn) bool {
 			return false
 		}
 	}
-	if c.needsEnd(ct) {
+	if c.cfg.Strategy == StrategyC2PC || ct.chosen.Rule().EndsOn(ct.outcome) {
 		_ = c.env.appendLazy(wal.Record{Kind: wal.KEnd, Role: wal.RoleCoord, Txn: ct.txn})
 	}
 	delete(m, ct.txn)
@@ -802,20 +762,14 @@ func (c *Coordinator) handleInquiry(m wire.Message) {
 // presumeFor picks the presumption used to answer an inquiry about a
 // forgotten transaction.
 func (c *Coordinator) presumeFor(m wire.Message) wire.Outcome {
-	if c.cfg.FixedPresumption {
-		return c.cfg.FixedOutcome
-	}
+	proto := c.cfg.Native
 	if c.cfg.Strategy == StrategyPrAny {
-		proto := m.Proto
+		proto = m.Proto
 		if p, ok := c.pcp.Lookup(m.From); ok {
 			proto = p
 		}
-		if o, ok := proto.Presumption(); ok {
-			return o
-		}
-		return wire.Abort
 	}
-	o, _ := c.cfg.Native.Presumption()
+	o, _ := proto.Presumption() // abort for a protocol without one
 	return o
 }
 

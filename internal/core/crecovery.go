@@ -142,11 +142,13 @@ func (c *Coordinator) Recover() error {
 		if s.decided {
 			outcome = s.outcome
 		}
-		if chosen == wire.PrC && outcome == wire.Commit && c.cfg.Strategy != StrategyC2PC {
-			// PrC forgot this transaction the moment the commit record was
-			// forced; it never re-submits commit decisions. (C2PC cannot
-			// take this shortcut: it still owes every participant a
-			// decision and itself their acks.)
+		if r := chosen.Rule(); r.ForcesInitiation() && !r.EndsOn(outcome) && c.cfg.Strategy != StrategyC2PC {
+			// The decision record closed the initiation record and no end
+			// record is owed: the variant forgot the transaction at the
+			// force and never re-submits this decision — PrC commits only.
+			// (PrA/IYV aborts force no initiation; a replicated decider
+			// must still see them Finished. C2PC still owes every
+			// participant a decision and itself their acks.)
 			continue
 		}
 

@@ -17,7 +17,7 @@ var ErrDecidePending = errors.New("core: replicated decision pending")
 // DecideRequest carries everything a decider needs to fix one transaction's
 // outcome: the tentative outcome computed from the votes, the per-participant
 // vote values (one consensus instance each under Paxos Commit), and the
-// logging discipline of the chosen variant.
+// chosen variant, whose wire.Rule row fixes the logging discipline.
 type DecideRequest struct {
 	Txn    wire.TxnID
 	Chosen wire.Protocol
@@ -35,9 +35,6 @@ type DecideRequest struct {
 	// map to yes; no and missing votes to no). Set only for replicated
 	// deciders; the conjunction of the instances is the outcome.
 	Votes []wire.InstanceVote
-	// LogsAbort reports whether the chosen variant forces an abort decision
-	// record (PrN and CL do; PrA, PrC and PrAny presume or reconstruct).
-	LogsAbort bool
 }
 
 // Decider is the decision fix-point of the coordinator: the step between
@@ -108,9 +105,9 @@ func NewSingleDecider(env Env) *SingleDecider { return &SingleDecider{env: env} 
 func (s *SingleDecider) Replicated() bool { return false }
 
 // Decide implements Decider. Every variant forces the commit record before
-// any commit decision leaves the site. Abort records are forced only when
-// the variant logs them (PrN, CL); PrA, PrC and PrAny presume or reconstruct
-// aborts.
+// any commit decision leaves the site. An abort record is forced only when
+// the chosen variant's row says so (wire.Rule.ForcesAbort); the others
+// presume aborts or reconstruct them from the initiation record.
 func (s *SingleDecider) Decide(req DecideRequest, _ func(wire.Outcome)) (wire.Outcome, bool, error) {
 	if req.Outcome == wire.Commit {
 		if err := s.env.force(wal.Record{
@@ -126,7 +123,7 @@ func (s *SingleDecider) Decide(req DecideRequest, _ func(wire.Outcome)) (wire.Ou
 			})
 			return wire.Abort, true, err
 		}
-	} else if req.LogsAbort {
+	} else if req.Chosen.Rule().ForcesAbort() {
 		if err := s.env.force(wal.Record{
 			Kind: wal.KAbort, Role: wal.RoleCoord, Txn: req.Txn, Participants: req.Roster,
 		}); err != nil {

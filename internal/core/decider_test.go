@@ -52,7 +52,7 @@ func TestSingleDeciderContract(t *testing.T) {
 		t.Fatalf("presumed abort decide: out=%s done=%v err=%v recs=%d", out, done, err, len(log.Records()))
 	}
 	out, done, err = d.Decide(DecideRequest{
-		Txn: wire.TxnID{Coord: "coord", Seq: 3}, Chosen: wire.PrN, Outcome: wire.Abort, LogsAbort: true,
+		Txn: wire.TxnID{Coord: "coord", Seq: 3}, Chosen: wire.PrN, Outcome: wire.Abort,
 	}, nil)
 	if err != nil || !done || out != wire.Abort {
 		t.Fatalf("logged abort decide: out=%s done=%v err=%v", out, done, err)

@@ -19,6 +19,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"prany/internal/core"
@@ -100,30 +101,30 @@ func MeasureCost(mix []wire.Protocol, outcome wire.Outcome) (Costs, error) {
 }
 
 // ExpectedCost computes the analytic cost profile straight from the
-// protocol rules — the numbers one reads off the paper's figures. The abort
-// case assumes the last participant votes no at prepare time (so it must be
-// a two-phase site) and the rest vote yes, matching MeasureCost's scenario;
-// every site executed one operation batch. One-phase (IYV) sites force one
-// operation record during execution instead of a prepared record, skip the
-// voting round entirely, and follow presumed-abort decision discipline.
+// protocol rules — the numbers one reads off the paper's figures; the
+// coordinator's forced and end records come from the chosen variant's
+// wire.Rule row. The abort case assumes the last participant votes no at
+// prepare time (so it must be a two-phase site) and the rest vote yes,
+// matching MeasureCost's scenario; every site executed one operation batch.
+// One-phase (IYV) sites force one operation record during execution instead
+// of a prepared record, skip the voting round entirely, and follow
+// presumed-abort decision discipline.
 func ExpectedCost(mix []wire.Protocol, outcome wire.Outcome) Costs {
 	n := len(mix)
 	chosen := core.Select(mix)
 	c := Costs{Label: mixLabel(mix), N: n, Outcome: outcome}
 
 	// Coordinator logging.
-	if chosen == wire.PrC || chosen == wire.PrAny {
+	rule := chosen.Rule()
+	if rule.ForcesInitiation() {
 		c.CoordForces++ // initiation
 		c.CoordRecords++
 	}
-	if outcome == wire.Commit {
-		c.CoordForces++ // commit decision
-		c.CoordRecords++
-	} else if chosen == wire.PrN || chosen == wire.CL {
-		c.CoordForces++ // PrN and CL force abort decisions
+	if outcome == wire.Commit || rule.ForcesAbort() {
+		c.CoordForces++ // decision
 		c.CoordRecords++
 	}
-	if needsEnd(chosen, outcome) {
+	if rule.EndsOn(outcome) {
 		c.CoordRecords++ // lazy end record
 	}
 
@@ -193,17 +194,6 @@ func CLRemoteSlack(mix []wire.Protocol, outcome wire.Outcome) uint64 {
 	return slack
 }
 
-func needsEnd(chosen wire.Protocol, outcome wire.Outcome) bool {
-	switch chosen {
-	case wire.PrA, wire.IYV:
-		return outcome == wire.Commit
-	case wire.PrC:
-		return outcome == wire.Abort
-	default: // PrN, PrAny
-		return true
-	}
-}
-
 func mixLabel(mix []wire.Protocol) string {
 	chosen := core.Select(mix)
 	if chosen != wire.PrAny {
@@ -213,19 +203,13 @@ func mixLabel(mix []wire.Protocol) string {
 	for _, p := range mix {
 		counts[p]++
 	}
-	label := "PrAny["
-	first := true
-	for _, p := range []wire.Protocol{wire.PrN, wire.PrA, wire.PrC, wire.IYV, wire.CL} {
-		if counts[p] == 0 {
-			continue
+	var parts []string
+	for p := wire.Protocol(0); p.Valid(); p++ {
+		if p.ParticipantProtocol() && counts[p] > 0 {
+			parts = append(parts, fmt.Sprintf("%d%s", counts[p], p))
 		}
-		if !first {
-			label += "+"
-		}
-		label += fmt.Sprintf("%d%s", counts[p], p)
-		first = false
 	}
-	return label + "]"
+	return "PrAny[" + strings.Join(parts, "+") + "]"
 }
 
 // Homogeneous returns an n-site mix of one protocol.

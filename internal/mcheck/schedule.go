@@ -183,7 +183,7 @@ func ParseSchedule(s string) (Schedule, error) {
 		strat = strat[:i]
 	}
 	if i := strings.IndexByte(strat, '/'); i >= 0 {
-		native, err := parseProtocol(strat[i+1:])
+		native, err := wire.ParseProtocol(strat[i+1:])
 		if err != nil {
 			return out, fmt.Errorf("mcheck: native protocol: %w", err)
 		}
@@ -206,7 +206,7 @@ func ParseSchedule(s string) (Schedule, error) {
 		if eq <= 0 {
 			return out, fmt.Errorf("mcheck: malformed participant %q", decl)
 		}
-		proto, err := parseProtocol(decl[eq+1:])
+		proto, err := wire.ParseProtocol(decl[eq+1:])
 		if err != nil {
 			return out, err
 		}
@@ -249,15 +249,6 @@ func ParseSchedule(s string) (Schedule, error) {
 		}
 	}
 	return out, nil
-}
-
-func parseProtocol(s string) (wire.Protocol, error) {
-	for p := wire.PrN; p <= wire.CL; p++ {
-		if strings.EqualFold(p.String(), s) {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("mcheck: unknown protocol %q", s)
 }
 
 // Replay re-executes one schedule from scratch — the same deterministic

@@ -118,23 +118,6 @@ func (p Protocol) String() string {
 // Valid reports whether p is one of the defined protocols.
 func (p Protocol) Valid() bool { return int(p) < len(protocolNames) }
 
-// ParticipantProtocol reports whether p is a protocol a participant can
-// run: the three 2PC variants plus the one-phase IYV. Coordinator-only
-// strategies (PrAny, U2PC, C2PC) are not valid participant protocols.
-func (p Protocol) ParticipantProtocol() bool {
-	return p == PrN || p == PrA || p == PrC || p == IYV || p == CL
-}
-
-// ShipsWrites reports whether p's participants log nothing locally and ship
-// their write sets to the coordinator instead (coordinator log). Votes from
-// such participants carry Writes; decisions to them carry Writes back.
-func (p Protocol) ShipsWrites() bool { return p == CL }
-
-// OnePhase reports whether p eliminates the explicit voting phase: the
-// participant is implicitly prepared by its operation acknowledgments, so
-// the coordinator sends no PREPARE and counts it as a standing yes vote.
-func (p Protocol) OnePhase() bool { return p == IYV }
-
 // ParseProtocol converts a case-insensitive protocol name ("prn", "PrAny",
 // ...) to its Protocol value.
 func ParseProtocol(s string) (Protocol, error) {
@@ -146,41 +129,127 @@ func ParseProtocol(s string) (Protocol, error) {
 	return 0, fmt.Errorf("wire: unknown protocol %q", s)
 }
 
+// Presume is a presumption: the outcome assumed for a transaction nothing
+// is known about. Under PresumeNothing no outcome is assumed: the answer
+// must come from a record or be waited for.
+type Presume uint8
+
+// The presumptions. PresumeAbort and PresumeCommit follow Abort and Commit
+// in order.
+const (
+	PresumeNothing Presume = iota
+	PresumeAbort
+	PresumeCommit
+)
+
+// Is reports whether p presumes o.
+func (p Presume) Is(o Outcome) bool { return p == PresumeAbort+Presume(o) }
+
+// Rule is one protocol's row of the paper's integration table (DESIGN.md
+// §5). It states the two presumptions and the columns that do not follow
+// from them; every forcing, acknowledgment and forgetting rule is a method
+// derived from the row, so a new dialect is one more row.
+type Rule struct {
+	// Part is the outcome a participant running the protocol may be told
+	// by presumption once its coordinator has forgotten: the one outcome it
+	// never acknowledges. PrN and CL participants acknowledge both, so
+	// theirs is PresumeNothing, as is every coordinator-only row's.
+	Part Presume
+	// Coord is what a coordinator running the protocol presumes for a
+	// transaction it holds no records of. A participant can run exactly the
+	// protocols that have one; the coordinator-only strategies (PrAny, U2PC,
+	// C2PC) have none of their own.
+	Coord Presume
+	// OnePhase: the participant is implicitly prepared by its operation
+	// acknowledgments, so the coordinator sends no PREPARE and counts it as
+	// a standing yes vote (IYV).
+	OnePhase bool
+	// ShipsWrites: the participant logs nothing locally and ships its
+	// write set with its yes vote; decisions to it carry the writes back
+	// (coordinator log).
+	ShipsWrites bool
+	// EndsBoth: the coordinator closes the transaction with an end record
+	// on both outcomes. PrAny needs it: the acks it awaits are its
+	// participants', not its own row's, yet every transaction leaves it an
+	// initiation record recovery would act on. This is the one forgetting
+	// rule not derived from the presumptions.
+	EndsBoth bool
+}
+
+// rules is the table, one row per protocol.
+var rules = [...]Rule{
+	PrN:   {Part: PresumeNothing, Coord: PresumeAbort},
+	PrA:   {Part: PresumeAbort, Coord: PresumeAbort},
+	PrC:   {Part: PresumeCommit, Coord: PresumeCommit},
+	PrAny: {EndsBoth: true},
+	U2PC:  {},
+	C2PC:  {},
+	IYV:   {Part: PresumeAbort, Coord: PresumeAbort, OnePhase: true},
+	CL:    {Part: PresumeNothing, Coord: PresumeAbort, ShipsWrites: true},
+}
+
+// Rule returns p's row of the table. An undefined protocol gets the empty
+// row: no participant protocol, acknowledging nothing.
+func (p Protocol) Rule() Rule {
+	if int(p) < len(rules) {
+		return rules[p]
+	}
+	return Rule{}
+}
+
+// Acks reports whether a participant running the protocol acknowledges a
+// decision with outcome o: every participant protocol does, except for the
+// outcome its participants are presumed to learn. Coordinator-only rows
+// acknowledge nothing.
+func (r Rule) Acks(o Outcome) bool { return r.Coord != PresumeNothing && !r.Part.Is(o) }
+
+// ForcesInitiation reports whether a coordinator running the protocol
+// forces an initiation record before any PREPARE: unless it presumes abort,
+// an undecided transaction lost in a crash would be indistinguishable from
+// one it may presume (PrC and PrAny).
+func (r Rule) ForcesInitiation() bool { return r.Coord != PresumeAbort }
+
+// ForcesAbort reports whether a coordinator running the protocol forces its
+// abort decision record: its participants acknowledge aborts, so it must
+// remember one across a crash, and it has no initiation record to rebuild
+// the abort from (PrN and CL).
+func (r Rule) ForcesAbort() bool { return r.Acks(Abort) && !r.ForcesInitiation() }
+
+// EndsOn reports whether a coordinator running the protocol writes an end
+// record once the acknowledgments for outcome o are in: when it waited for
+// any (Definition 2's forgetting point), and always under EndsBoth.
+func (r Rule) EndsOn(o Outcome) bool { return r.EndsBoth || r.Acks(o) }
+
+// ParticipantProtocol reports whether p is a protocol a participant can
+// run: PrN, PrA, PrC, IYV or CL. Coordinator-only strategies (PrAny, U2PC,
+// C2PC) are not valid participant protocols.
+func (p Protocol) ParticipantProtocol() bool { return p.Rule().Coord != PresumeNothing }
+
+// ShipsWrites reports whether p's participants ship their write sets to the
+// coordinator instead of logging (see Rule.ShipsWrites).
+func (p Protocol) ShipsWrites() bool { return p.Rule().ShipsWrites }
+
+// OnePhase reports whether p eliminates the explicit voting phase (see
+// Rule.OnePhase).
+func (p Protocol) OnePhase() bool { return p.Rule().OnePhase }
+
 // Presumption returns the outcome a coordinator running protocol p presumes
 // for a transaction it holds no information about, and whether such a
 // presumption exists. PrN's presumption is the "hidden" abort presumption
 // the paper describes: after a failure, active transactions with no decision
 // record are treated as aborted. PrAny has no a-priori presumption — it
-// adopts the inquirer's — so ok is false.
+// adopts the inquirer's — so ok is false, and o is Abort.
 func (p Protocol) Presumption() (o Outcome, ok bool) {
-	switch p {
-	case PrN, PrA, IYV, CL:
-		return Abort, true
-	case PrC:
-		return Commit, true
-	default:
-		return 0, false
+	c := p.Rule().Coord
+	if c == PresumeNothing {
+		return Abort, false
 	}
+	return Outcome(c - PresumeAbort), true
 }
-
-// AcksCommit reports whether a participant running protocol p acknowledges
-// commit decisions. PrC participants commit with a non-forced log write and
-// never acknowledge.
-func (p Protocol) AcksCommit() bool { return p == PrN || p == PrA || p == IYV || p == CL }
-
-// AcksAbort reports whether a participant running protocol p acknowledges
-// abort decisions. PrA participants abort with a non-forced log write and
-// never acknowledge.
-func (p Protocol) AcksAbort() bool { return p == PrN || p == PrC || p == CL }
 
 // Acks reports whether a participant running protocol p acknowledges
 // decisions with outcome o.
-func (p Protocol) Acks(o Outcome) bool {
-	if o == Commit {
-		return p.AcksCommit()
-	}
-	return p.AcksAbort()
-}
+func (p Protocol) Acks(o Outcome) bool { return p.Rule().Acks(o) }
 
 // Outcome is the final fate of a transaction.
 type Outcome uint8

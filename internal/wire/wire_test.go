@@ -73,19 +73,56 @@ func TestParticipantProtocol(t *testing.T) {
 			t.Errorf("%v should be a participant protocol", p)
 		}
 	}
-	for _, p := range []Protocol{PrAny, U2PC, C2PC} {
+	for _, p := range []Protocol{PrAny, U2PC, C2PC, Protocol(200)} {
 		if p.ParticipantProtocol() {
 			t.Errorf("%v should not be a participant protocol", p)
 		}
 	}
-	if PrN.OnePhase() || PrA.OnePhase() || PrC.OnePhase() {
-		t.Error("two-phase variant reported one-phase")
+}
+
+// TestRuleTable pins every column of the rule table, written out as read
+// from the paper's Figures 1–4 and DESIGN.md §5 rather than computed from
+// the rows. PrN's coordinator presumption is the "hidden" abort; IYV
+// follows presumed-abort discipline; a CL coordinator logs everything, so
+// absence means abort, and its participants ack both outcomes. U2PC and
+// C2PC are never a transaction's chosen variant (their coordinators run
+// Native), so their coordinator columns never run; they are pinned as the
+// derivation gives them so the table stays total.
+func TestRuleTable(t *testing.T) {
+	const (
+		N = PresumeNothing
+		A = PresumeAbort
+		C = PresumeCommit
+	)
+	type row struct {
+		p                  Protocol
+		part, coord        Presume
+		ackC, ackA         bool // participants acknowledge commit / abort
+		forceInit, forceAb bool // coordinator forces initiation / abort record
+		endC, endA         bool // coordinator end record on commit / abort
+		endsBoth           bool // the stated end-record column (PrAny only)
+		onePhase, ships    bool
 	}
-	if !IYV.OnePhase() {
-		t.Error("IYV not reported one-phase")
+	for _, r := range []row{
+		{PrN, N, A, true, true, false, true, true, true, false, false, false},
+		{PrA, A, A, true, false, false, false, true, false, false, false, false},
+		{PrC, C, C, false, true, true, false, false, true, false, false, false},
+		{PrAny, N, N, false, false, true, false, true, true, true, false, false},
+		{U2PC, N, N, false, false, true, false, false, false, false, false, false},
+		{C2PC, N, N, false, false, true, false, false, false, false, false, false},
+		{IYV, A, A, true, false, false, false, true, false, false, true, false},
+		{CL, N, A, true, true, false, true, true, true, false, false, true},
+	} {
+		rule := r.p.Rule()
+		got := row{r.p, rule.Part, rule.Coord, r.p.Acks(Commit), r.p.Acks(Abort),
+			rule.ForcesInitiation(), rule.ForcesAbort(), rule.EndsOn(Commit), rule.EndsOn(Abort),
+			rule.EndsBoth, r.p.OnePhase(), r.p.ShipsWrites()}
+		if got != r {
+			t.Errorf("%v:\n got %+v\nwant %+v", r.p, got, r)
+		}
 	}
-	if !CL.ShipsWrites() || PrN.ShipsWrites() || IYV.ShipsWrites() {
-		t.Error("ShipsWrites matrix wrong")
+	if rule := Protocol(200).Rule(); rule != (Rule{}) {
+		t.Errorf("undefined protocol has row %+v, want the empty row", rule)
 	}
 }
 
@@ -123,14 +160,11 @@ func TestAckMatrix(t *testing.T) {
 		commit, abort bool
 	}
 	for _, r := range []row{{PrN, true, true}, {PrA, true, false}, {PrC, false, true}, {IYV, true, false}, {CL, true, true}} {
-		if r.p.AcksCommit() != r.commit {
-			t.Errorf("%v.AcksCommit() = %v, want %v", r.p, r.p.AcksCommit(), r.commit)
+		if r.p.Acks(Commit) != r.commit {
+			t.Errorf("%v.Acks(Commit) = %v, want %v", r.p, r.p.Acks(Commit), r.commit)
 		}
-		if r.p.AcksAbort() != r.abort {
-			t.Errorf("%v.AcksAbort() = %v, want %v", r.p, r.p.AcksAbort(), r.abort)
-		}
-		if r.p.Acks(Commit) != r.commit || r.p.Acks(Abort) != r.abort {
-			t.Errorf("%v.Acks inconsistent with AcksCommit/AcksAbort", r.p)
+		if r.p.Acks(Abort) != r.abort {
+			t.Errorf("%v.Acks(Abort) = %v, want %v", r.p, r.p.Acks(Abort), r.abort)
 		}
 	}
 }
